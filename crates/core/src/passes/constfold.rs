@@ -16,7 +16,7 @@
 use super::{eval_const_op, Pass};
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
-use std::collections::{HashMap, HashSet};
+use prism_ir::value::reg_slot;
 
 /// The constant-folding / copy-propagation pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -44,11 +44,30 @@ impl Pass for ConstFold {
             const_arrays: &shader.const_arrays,
             changed: false,
         };
-        let mut env: HashMap<Reg, Known> = HashMap::new();
+        let mut env = Env(vec![None; shader.regs.len()]);
         folder.fold_body(&mut body, &mut env);
         let changed = folder.changed;
         shader.body = body;
         changed
+    }
+}
+
+/// What is known about each register, one slot per [`Reg`] index.
+struct Env(Vec<Option<Known>>);
+
+impl Env {
+    fn get(&self, reg: Reg) -> Option<&Known> {
+        self.0.get(reg.0 as usize)?.as_ref()
+    }
+
+    fn set(&mut self, reg: Reg, known: Known) {
+        *reg_slot(&mut self.0, reg) = Some(known);
+    }
+
+    fn forget(&mut self, reg: Reg) {
+        if let Some(slot) = self.0.get_mut(reg.0 as usize) {
+            *slot = None;
+        }
     }
 }
 
@@ -59,7 +78,7 @@ struct Folder<'a> {
 }
 
 impl Folder<'_> {
-    fn fold_body(&mut self, body: &mut Vec<Stmt>, env: &mut HashMap<Reg, Known>) {
+    fn fold_body(&mut self, body: &mut Vec<Stmt>, env: &mut Env) {
         let mut out: Vec<Stmt> = Vec::with_capacity(body.len());
         for mut stmt in body.drain(..) {
             self.substitute(&mut stmt, env);
@@ -70,20 +89,20 @@ impl Folder<'_> {
                             self.changed = true;
                         }
                         op = Op::Mov(Operand::Const(c.clone()));
-                        env.insert(dst, Known::Const(c));
+                        env.set(dst, Known::Const(c));
                     } else {
                         match &op {
                             Op::Mov(Operand::Const(c)) => {
-                                env.insert(dst, Known::Const(c.clone()));
+                                env.set(dst, Known::Const(c.clone()));
                             }
                             Op::Mov(o @ (Operand::Input(_) | Operand::Uniform(_))) => {
-                                env.insert(dst, Known::Copy(o.clone()));
+                                env.set(dst, Known::Copy(o.clone()));
                             }
                             Op::Mov(Operand::Reg(src)) if self.analysis.is_ssa(*src) => {
-                                env.insert(dst, Known::Copy(Operand::Reg(*src)));
+                                env.set(dst, Known::Copy(Operand::Reg(*src)));
                             }
                             _ => {
-                                env.remove(&dst);
+                                env.forget(dst);
                             }
                         }
                     }
@@ -102,24 +121,23 @@ impl Folder<'_> {
                         out.extend(chosen);
                         continue;
                     }
-                    let defined = defined_regs(&then_body)
-                        .union(&defined_regs(&else_body))
-                        .copied()
-                        .collect::<HashSet<_>>();
+                    let mut defined = Vec::new();
+                    defined_regs(&then_body, &mut defined);
+                    defined_regs(&else_body, &mut defined);
                     // Every register a branch fold inserts or removes is in
                     // `defined` (it covers nested defs and loop vars), so the
                     // shared env serves both arms without cloning — reset the
                     // defined keys between arms and again afterwards.
                     for r in &defined {
-                        env.remove(r);
+                        env.forget(*r);
                     }
                     self.fold_body(&mut then_body, env);
                     for r in &defined {
-                        env.remove(r);
+                        env.forget(*r);
                     }
                     self.fold_body(&mut else_body, env);
                     for r in &defined {
-                        env.remove(r);
+                        env.forget(*r);
                     }
                     out.push(Stmt::If {
                         cond,
@@ -134,14 +152,14 @@ impl Folder<'_> {
                     step,
                     mut body,
                 } => {
-                    let mut defined = defined_regs(&body);
-                    defined.insert(var);
+                    let mut defined = vec![var];
+                    defined_regs(&body, &mut defined);
                     for r in &defined {
-                        env.remove(r);
+                        env.forget(*r);
                     }
                     self.fold_body(&mut body, env);
                     for r in &defined {
-                        env.remove(r);
+                        env.forget(*r);
                     }
                     out.push(Stmt::Loop {
                         var,
@@ -158,11 +176,11 @@ impl Folder<'_> {
     }
 
     /// Substitutes known register values into a statement's own operands.
-    fn substitute(&mut self, stmt: &mut Stmt, env: &HashMap<Reg, Known>) {
+    fn substitute(&mut self, stmt: &mut Stmt, env: &Env) {
         let mut changed = false;
         for operand in stmt.operands_mut() {
             if let Operand::Reg(r) = operand {
-                match env.get(r) {
+                match env.get(*r) {
                     Some(Known::Const(c)) => {
                         *operand = Operand::Const(c.clone());
                         changed = true;
@@ -197,19 +215,14 @@ impl Folder<'_> {
     }
 }
 
-/// All registers defined anywhere within a body (including nested bodies).
-fn defined_regs(body: &[Stmt]) -> HashSet<Reg> {
-    let mut set = HashSet::new();
+/// Appends every register defined anywhere within a body (including nested
+/// bodies) to `out`; a register defined twice appears twice.
+fn defined_regs(body: &[Stmt], out: &mut Vec<Reg>) {
     prism_ir::stmt::walk_body(body, &mut |s| match s {
-        Stmt::Def { dst, .. } => {
-            set.insert(*dst);
-        }
-        Stmt::Loop { var, .. } => {
-            set.insert(*var);
-        }
+        Stmt::Def { dst, .. } => out.push(*dst),
+        Stmt::Loop { var, .. } => out.push(*var),
         _ => {}
     });
-    set
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 
 use super::Pass;
 use prism_ir::analysis::Analysis;
+use prism_ir::op::ValueKey;
 use prism_ir::prelude::*;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// The local CSE pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -35,7 +36,7 @@ impl Pass for Cse {
 /// starts from an empty table (local CSE); [`super::gvn`] reuses this walker
 /// with `inherit = true`.
 pub(crate) fn cse_body(body: &mut [Stmt], analysis: &Analysis, changed: &mut bool, inherit: bool) {
-    let mut table: HashMap<String, Reg> = HashMap::new();
+    let mut table: HashMap<ValueKey, Reg> = HashMap::new();
     cse_scoped(body, analysis, changed, inherit, &mut table);
 }
 
@@ -44,7 +45,7 @@ fn cse_scoped(
     analysis: &Analysis,
     changed: &mut bool,
     inherit: bool,
-    table: &mut HashMap<String, Reg>,
+    table: &mut HashMap<ValueKey, Reg>,
 ) {
     for stmt in body.iter_mut() {
         match stmt {
@@ -52,23 +53,7 @@ fn cse_scoped(
                 if !eligible(op, analysis) {
                     continue;
                 }
-                let key = op.value_key();
-                match table.get(&key) {
-                    Some(prev) if *prev != *dst => {
-                        // The replacement value `prev` is immutable (it was
-                        // only recorded if single-assignment), so rewriting
-                        // this definition's RHS is safe even when `dst`
-                        // itself is reassigned elsewhere.
-                        *op = Op::Mov(Operand::Reg(*prev));
-                        *changed = true;
-                    }
-                    Some(_) => {}
-                    None => {
-                        if analysis.is_ssa(*dst) {
-                            table.insert(key, *dst);
-                        }
-                    }
-                }
+                number_value(table, *dst, op, analysis, changed);
             }
             Stmt::If {
                 then_body,
@@ -106,6 +91,36 @@ fn cse_scoped(
     }
 }
 
+/// Looks `op` up in the value table: a value some other register already
+/// holds turns `op` into a copy of that register; a new value is recorded
+/// as held by `dst` when `dst` is single-assignment.
+pub(crate) fn number_value(
+    table: &mut HashMap<ValueKey, Reg>,
+    dst: Reg,
+    op: &mut Op,
+    analysis: &Analysis,
+    changed: &mut bool,
+) {
+    match table.entry(op.value_key()) {
+        Entry::Occupied(prev) => {
+            let prev = *prev.get();
+            if prev != dst {
+                // The replacement value `prev` is immutable (it was only
+                // recorded if single-assignment), so rewriting this
+                // definition's RHS is safe even when `dst` itself is
+                // reassigned elsewhere.
+                *op = Op::Mov(Operand::Reg(prev));
+                *changed = true;
+            }
+        }
+        Entry::Vacant(slot) => {
+            if analysis.is_ssa(dst) {
+                slot.insert(dst);
+            }
+        }
+    }
+}
+
 /// An operation is eligible for value numbering when it is pure, not a
 /// texture sample or derivative (those stay put so the cost model sees them),
 /// and all register operands are single-assignment.
@@ -114,7 +129,7 @@ fn eligible(op: &Op, analysis: &Analysis) -> bool {
         // Texture samples are handled conservatively; Movs carry no work.
         return false;
     }
-    op.operands().iter().all(|o| match o {
+    op.operands().all(|o| match o {
         Operand::Reg(r) => analysis.is_ssa(*r),
         _ => true,
     })

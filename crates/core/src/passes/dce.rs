@@ -6,8 +6,9 @@
 //! flag never changes the output (§VI-D1).
 
 use super::Pass;
+use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The trivially-dead-code elimination pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -22,14 +23,7 @@ impl Pass for Dce {
         let mut changed_any = false;
         // Removing a definition can make another dead; iterate to a fixpoint.
         for _ in 0..32 {
-            let mut uses: HashMap<Reg, usize> = HashMap::new();
-            prism_ir::stmt::walk_body(&shader.body, &mut |s| {
-                for o in s.operands() {
-                    if let Operand::Reg(r) = o {
-                        *uses.entry(*r).or_default() += 1;
-                    }
-                }
-            });
+            let uses = Analysis::of(shader);
             let mut changed = false;
             let mut body = std::mem::take(&mut shader.body);
             remove_dead(&mut body, &uses, &mut changed);
@@ -43,16 +37,13 @@ impl Pass for Dce {
     }
 }
 
-fn remove_dead(body: &mut Vec<Stmt>, uses: &HashMap<Reg, usize>, changed: &mut bool) {
+fn remove_dead(body: &mut Vec<Stmt>, uses: &Analysis, changed: &mut bool) {
     let mut kept: Vec<Stmt> = Vec::with_capacity(body.len());
     for mut stmt in body.drain(..) {
         match &mut stmt {
-            Stmt::Def { dst, op } => {
-                let used = uses.get(dst).copied().unwrap_or(0) > 0;
-                if !used && op.is_pure() {
-                    *changed = true;
-                    continue;
-                }
+            Stmt::Def { dst, op } if uses.is_unused(*dst) && op.is_pure() => {
+                *changed = true;
+                continue;
             }
             Stmt::If {
                 then_body,

@@ -10,9 +10,10 @@
 //! rarely in the optimal flag set (§VI-D2); it is enabled by default in
 //! LunarGlass.
 
-use super::cse::cse_body;
+use super::cse::{cse_body, number_value};
 use super::Pass;
 use prism_ir::analysis::Analysis;
+use prism_ir::op::ValueKey;
 use prism_ir::prelude::*;
 use std::collections::HashMap;
 
@@ -32,7 +33,7 @@ impl Pass for Gvn {
         // Scope-inheriting CSE over pure ops.
         cse_body(&mut body, &analysis, &mut changed, true);
         // Redundant texture-sample elimination (GVN-style load merging).
-        let mut table: HashMap<String, Reg> = HashMap::new();
+        let mut table: HashMap<ValueKey, Reg> = HashMap::new();
         merge_texture_loads(&mut body, &analysis, &mut table, &mut changed);
         shader.body = body;
         changed
@@ -42,35 +43,18 @@ impl Pass for Gvn {
 fn merge_texture_loads(
     body: &mut [Stmt],
     analysis: &Analysis,
-    table: &mut HashMap<String, Reg>,
+    table: &mut HashMap<ValueKey, Reg>,
     changed: &mut bool,
 ) {
     for stmt in body.iter_mut() {
         match stmt {
-            Stmt::Def { dst, op } => {
-                if let Op::TextureSample { coords, lod, .. } = op {
-                    let operands_stable = std::iter::once(&*coords)
-                        .chain(lod.as_ref().map(|l| l as &Operand))
-                        .all(|o| match o {
-                            Operand::Reg(r) => analysis.is_ssa(*r),
-                            _ => true,
-                        });
-                    if !operands_stable {
-                        continue;
-                    }
-                    let key = op.value_key();
-                    match table.get(&key) {
-                        Some(prev) if *prev != *dst => {
-                            *op = Op::Mov(Operand::Reg(*prev));
-                            *changed = true;
-                        }
-                        Some(_) => {}
-                        None => {
-                            if analysis.is_ssa(*dst) {
-                                table.insert(key, *dst);
-                            }
-                        }
-                    }
+            Stmt::Def { dst, op } if op.is_texture() => {
+                let operands_stable = op.operands().all(|o| match o {
+                    Operand::Reg(r) => analysis.is_ssa(*r),
+                    _ => true,
+                });
+                if operands_stable {
+                    number_value(table, *dst, op, analysis, changed);
                 }
             }
             Stmt::If {

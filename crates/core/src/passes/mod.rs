@@ -26,7 +26,7 @@ pub mod unroll;
 
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
-use std::collections::HashMap;
+use prism_ir::value::reg_slot;
 
 /// A transformation over shader IR.
 pub trait Pass {
@@ -38,10 +38,11 @@ pub trait Pass {
 }
 
 /// A map from single-assignment registers to their defining operation,
-/// shared by several passes that need to "look through" operands.
+/// shared by several passes that need to "look through" operands. Stored
+/// densely: one slot per [`Reg`] index.
 #[derive(Debug, Default)]
 pub struct DefMap {
-    defs: HashMap<Reg, Op>,
+    defs: Vec<Option<Op>>,
 }
 
 impl DefMap {
@@ -49,11 +50,11 @@ impl DefMap {
     /// not nested in a loop or conditional).
     pub fn of(shader: &Shader) -> DefMap {
         let analysis = Analysis::of(shader);
-        let mut defs = HashMap::new();
+        let mut defs = vec![None; shader.regs.len()];
         prism_ir::stmt::walk_body(&shader.body, &mut |s| {
             if let Stmt::Def { dst, op } = s {
                 if analysis.is_ssa(*dst) {
-                    defs.insert(*dst, op.clone());
+                    *reg_slot(&mut defs, *dst) = Some(op.clone());
                 }
             }
         });
@@ -62,7 +63,7 @@ impl DefMap {
 
     /// The defining op of an SSA register.
     pub fn def(&self, reg: Reg) -> Option<&Op> {
-        self.defs.get(&reg)
+        self.defs.get(reg.0 as usize)?.as_ref()
     }
 
     /// Looks through an operand: if it is an SSA register defined by a `Mov`,

@@ -12,7 +12,6 @@
 use super::Pass;
 use prism_ir::analysis::Analysis;
 use prism_ir::prelude::*;
-use std::collections::{HashMap, HashSet};
 
 /// The straight-line SSA renaming pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -27,20 +26,19 @@ impl Pass for Rename {
         let analysis = Analysis::of(shader);
         // Candidates: multiply-defined registers whose every definition is in
         // top-level straight-line code (not inside a loop or branch).
-        let mut candidates: HashSet<Reg> = HashSet::new();
-        for (i, _) in shader.regs.iter().enumerate() {
-            let reg = Reg(i as u32);
-            let facts = analysis.facts(reg);
-            if facts.def_count > 1 && !facts.defined_in_loop && !facts.defined_in_branch {
-                candidates.insert(reg);
-            }
-        }
-        if candidates.is_empty() {
+        // Indexed by `Reg`, like the reaching-definition map `current`.
+        let candidates: Vec<bool> = (0..shader.regs.len())
+            .map(|i| {
+                let facts = analysis.facts(Reg(i as u32));
+                facts.def_count > 1 && !facts.defined_in_loop && !facts.defined_in_branch
+            })
+            .collect();
+        if !candidates.contains(&true) {
             return false;
         }
 
         let mut changed = false;
-        let mut current: HashMap<Reg, Reg> = HashMap::new();
+        let mut current: Vec<Option<Reg>> = vec![None; shader.regs.len()];
         let mut body = std::mem::take(&mut shader.body);
         rename_top_level(shader, &mut body, &candidates, &mut current, &mut changed);
         shader.body = body;
@@ -51,15 +49,15 @@ impl Pass for Rename {
 fn rename_top_level(
     shader: &mut Shader,
     body: &mut [Stmt],
-    candidates: &HashSet<Reg>,
-    current: &mut HashMap<Reg, Reg>,
+    candidates: &[bool],
+    current: &mut [Option<Reg>],
     changed: &mut bool,
 ) {
     for stmt in body.iter_mut() {
         // Rewrite uses to the reaching definition first.
         rewrite_uses(stmt, current);
         match stmt {
-            Stmt::Def { dst, .. } if candidates.contains(dst) => {
+            Stmt::Def { dst, .. } if candidates.get(dst.0 as usize) == Some(&true) => {
                 let fresh = shader.new_named_reg(
                     shader.reg_ty(*dst),
                     shader.regs[dst.0 as usize]
@@ -67,7 +65,7 @@ fn rename_top_level(
                         .clone()
                         .unwrap_or_else(|| format!("v{}", dst.0)),
                 );
-                current.insert(*dst, fresh);
+                current[dst.0 as usize] = Some(fresh);
                 *dst = fresh;
                 *changed = true;
             }
@@ -91,17 +89,17 @@ fn rename_top_level(
     }
 }
 
-fn rewrite_uses(stmt: &mut Stmt, current: &HashMap<Reg, Reg>) {
+fn rewrite_uses(stmt: &mut Stmt, current: &[Option<Reg>]) {
     for operand in stmt.operands_mut() {
         if let Operand::Reg(r) = operand {
-            if let Some(new) = current.get(r) {
-                *operand = Operand::Reg(*new);
+            if let Some(Some(new)) = current.get(r.0 as usize) {
+                *r = *new;
             }
         }
     }
 }
 
-fn rewrite_uses_nested(body: &mut [Stmt], current: &HashMap<Reg, Reg>) {
+fn rewrite_uses_nested(body: &mut [Stmt], current: &[Option<Reg>]) {
     for stmt in body.iter_mut() {
         rewrite_uses(stmt, current);
         match stmt {

@@ -94,7 +94,8 @@ pub struct Stage {
 }
 
 impl Stage {
-    pub(crate) fn always(label: &'static str, passes: Vec<Box<dyn Pass>>) -> Stage {
+    /// A stage that runs for every flag combination.
+    pub fn always(label: &'static str, passes: Vec<Box<dyn Pass>>) -> Stage {
         Stage {
             label,
             flag: None,

@@ -20,6 +20,7 @@ use prism_core::passes::{
     coalesce::Coalesce, constfold::ConstFold, cse::Cse, dce::Dce, div_to_mul::DivToMul, gvn::Gvn,
     hoist::Hoist, rename::Rename, unroll::Unroll, Pass,
 };
+use prism_core::pipeline::Stage;
 use prism_core::{lower, CompileError};
 use prism_glsl::ShaderSource;
 use prism_ir::prelude::*;
@@ -160,13 +161,12 @@ impl DriverModel {
     /// structurally invalid.
     pub fn compile_ir(&self, mut ir: Shader, name: &str) -> Result<Shader, CompileError> {
         ir.name = name.to_string();
-        let passes = self.internal_passes();
+        // Up to two rounds, the second only if the first changed the IR. The
+        // stage drops the input's fingerprint memo when a pass mutates the
+        // IR, and verifies after every pass under `PRISM_VERIFY=1`.
+        let stage = Stage::always("driver", self.internal_passes());
         for _ in 0..2 {
-            let mut changed = false;
-            for pass in &passes {
-                changed |= pass.run(&mut ir);
-            }
-            if !changed {
+            if !stage.run(&mut ir) {
                 break;
             }
         }
@@ -268,6 +268,23 @@ mod tests {
             prism_ir::printer::print_shader(&a),
             prism_ir::printer::print_shader(&b)
         );
+    }
+
+    #[test]
+    fn driver_output_never_carries_the_input_fingerprint_memo() {
+        use prism_ir::fingerprint::{compute_fingerprint, fingerprint};
+        let source = ShaderSource::preprocess_and_parse(LOOPY, &Default::default()).unwrap();
+        let input = lower(&source, "loopy").unwrap();
+        // Memoise the input's fingerprint before handing the IR over.
+        let input_fp = fingerprint(&input);
+        for vendor in Vendor::ALL {
+            let out = DriverModel::preset(vendor)
+                .compile_ir(input.clone(), "loopy")
+                .unwrap();
+            let fresh = compute_fingerprint(&out);
+            assert_ne!(fresh, input_fp, "{vendor:?}'s passes rewrite this shader");
+            assert_eq!(fingerprint(&out), fresh, "{vendor:?}: stale memo");
+        }
     }
 
     #[test]

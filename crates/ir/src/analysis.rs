@@ -6,14 +6,21 @@
 //! appears earlier in the same statement list or in an enclosing list — this
 //! module computes the supporting facts (definition counts, use counts, and
 //! whether a register is defined inside a loop or conditional).
+//!
+//! [`Analysis::of`] runs once per pass invocation, in the optimizer and in
+//! every simulated driver, so it is on the hot path. Registers are small
+//! consecutive indices, so the facts live in a `Vec` indexed by [`Reg`]
+//! rather than a map. The passes keep their own per-register state (the
+//! constant-folding environment, the renaming maps, `DefMap`) the same way,
+//! through [`reg_slot`](crate::value::reg_slot).
 
 use crate::shader::Shader;
 use crate::stmt::Stmt;
-use crate::value::{Operand, Reg};
+use crate::value::{reg_slot, Operand, Reg};
 use std::collections::HashMap;
 
 /// Per-register facts used to decide which optimizations are safe.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RegFacts {
     /// Number of `Def` statements targeting the register.
     pub def_count: usize,
@@ -33,16 +40,19 @@ impl RegFacts {
     }
 }
 
-/// Dataflow facts for a whole shader.
+/// Dataflow facts for a whole shader, stored densely: registers are small
+/// consecutive indices, so the facts live in a `Vec` indexed by [`Reg`].
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
-    facts: HashMap<Reg, RegFacts>,
+    facts: Vec<RegFacts>,
 }
 
 impl Analysis {
     /// Computes definition/use facts for every register in the shader.
     pub fn of(shader: &Shader) -> Analysis {
-        let mut a = Analysis::default();
+        let mut a = Analysis {
+            facts: vec![RegFacts::default(); shader.regs.len()],
+        };
         a.scan(&shader.body, false, false);
         a
     }
@@ -51,12 +61,12 @@ impl Analysis {
         for stmt in body {
             for operand in stmt.operands() {
                 if let Operand::Reg(r) = operand {
-                    self.facts.entry(*r).or_default().use_count += 1;
+                    reg_slot(&mut self.facts, *r).use_count += 1;
                 }
             }
             match stmt {
                 Stmt::Def { dst, .. } => {
-                    let f = self.facts.entry(*dst).or_default();
+                    let f = reg_slot(&mut self.facts, *dst);
                     f.def_count += 1;
                     f.defined_in_loop |= in_loop;
                     f.defined_in_branch |= in_branch;
@@ -71,7 +81,7 @@ impl Analysis {
                 }
                 Stmt::Loop { var, body, .. } => {
                     // The induction variable counts as defined in the loop.
-                    let f = self.facts.entry(*var).or_default();
+                    let f = reg_slot(&mut self.facts, *var);
                     f.def_count += 1;
                     f.defined_in_loop = true;
                     self.scan(body, true, in_branch);
@@ -83,7 +93,7 @@ impl Analysis {
 
     /// Facts for one register (default-empty if never seen).
     pub fn facts(&self, reg: Reg) -> RegFacts {
-        self.facts.get(&reg).cloned().unwrap_or_default()
+        self.facts.get(reg.0 as usize).copied().unwrap_or_default()
     }
 
     /// `true` if the register has exactly one top-level definition (see

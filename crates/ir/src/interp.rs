@@ -5,13 +5,18 @@
 //! shader outputs. It is the semantic oracle used by the test suite: every
 //! optimization pass must leave the interpreted result (approximately, for
 //! the unsafe floating-point passes) unchanged.
+//!
+//! Register values live in a slot-indexed table: one `Option<Val>` per
+//! [`Reg`](crate::value::Reg) index, `None` until the first definition. A
+//! register read or write is an index, not a hash lookup. The same
+//! interpreter backs specialization verification, which runs every
+//! dispatch in both guard directions.
 
 use crate::op::{BinaryOp, Intrinsic, Op, UnaryOp};
 use crate::shader::Shader;
 use crate::stmt::Stmt;
 use crate::types::TextureDim;
-use crate::value::{Constant, Operand, Reg};
-use std::collections::HashMap;
+use crate::value::{reg_slot, Constant, Operand};
 use std::fmt;
 
 /// A runtime value: a numeric vector of 1–4 lanes or a boolean.
@@ -171,7 +176,7 @@ pub fn run_fragment(shader: &Shader, ctx: &FragmentContext) -> Result<FragmentRe
     let mut state = State {
         shader,
         ctx,
-        regs: HashMap::new(),
+        regs: vec![None; shader.regs.len()],
         outputs: shader
             .outputs
             .iter()
@@ -189,7 +194,9 @@ pub fn run_fragment(shader: &Shader, ctx: &FragmentContext) -> Result<FragmentRe
 struct State<'a> {
     shader: &'a Shader,
     ctx: &'a FragmentContext,
-    regs: HashMap<Reg, Val>,
+    /// Register values, one slot per [`Reg`](crate::value::Reg) index;
+    /// `None` until defined.
+    regs: Vec<Option<Val>>,
     outputs: Vec<Vec<f64>>,
     discarded: bool,
 }
@@ -209,7 +216,7 @@ impl<'a> State<'a> {
         match stmt {
             Stmt::Def { dst, op } => {
                 let v = self.eval_op(op)?;
-                self.regs.insert(*dst, v);
+                *reg_slot(&mut self.regs, *dst) = Some(v);
                 Ok(())
             }
             Stmt::StoreOutput {
@@ -259,7 +266,7 @@ impl<'a> State<'a> {
                 let mut i = *start;
                 let mut guard = 0usize;
                 while (*step > 0 && i < *end) || (*step < 0 && i > *end) {
-                    self.regs.insert(*var, Val::scalar(i as f64));
+                    *reg_slot(&mut self.regs, *var) = Some(Val::scalar(i as f64));
                     self.exec_body(body)?;
                     if self.discarded {
                         return Ok(());
@@ -289,8 +296,8 @@ impl<'a> State<'a> {
         match operand {
             Operand::Reg(r) => self
                 .regs
-                .get(r)
-                .cloned()
+                .get(r.0 as usize)
+                .and_then(Option::clone)
                 .ok_or_else(|| err(format!("register {r} not defined at use"))),
             Operand::Const(c) => Ok(const_val(c)),
             Operand::Input(i) => self

@@ -6,7 +6,7 @@
 //! and the paper's transformations (loop unrolling, conditional flattening)
 //! are naturally expressed as structured rewrites.
 
-use crate::op::Op;
+use crate::op::{operand_iter, Op, Operands, OperandsMut};
 use crate::value::{Operand, Reg};
 
 /// One statement of a shader body.
@@ -98,26 +98,30 @@ impl Stmt {
         }
     }
 
-    /// All operands read by this statement itself (not nested statements).
-    pub fn operands(&self) -> Vec<&Operand> {
-        match self {
-            Stmt::Def { op, .. } => op.operands(),
-            Stmt::StoreOutput { value, .. } => vec![value],
-            Stmt::If { cond, .. } => vec![cond],
-            Stmt::Loop { .. } => vec![],
-            Stmt::Discard { cond } => cond.iter().collect(),
-        }
+    /// All operands read by this statement itself (not nested statements),
+    /// without allocating.
+    pub fn operands(&self) -> Operands<'_> {
+        let fixed = match self {
+            Stmt::Def { op, .. } => return op.operands(),
+            Stmt::StoreOutput { value, .. } => Some(value),
+            Stmt::If { cond, .. } => Some(cond),
+            Stmt::Loop { .. } => None,
+            Stmt::Discard { cond } => cond.as_ref(),
+        };
+        operand_iter([fixed, None, None], [].iter())
     }
 
-    /// Mutable references to the operands read by this statement itself.
-    pub fn operands_mut(&mut self) -> Vec<&mut Operand> {
-        match self {
-            Stmt::Def { op, .. } => op.operands_mut(),
-            Stmt::StoreOutput { value, .. } => vec![value],
-            Stmt::If { cond, .. } => vec![cond],
-            Stmt::Loop { .. } => vec![],
-            Stmt::Discard { cond } => cond.iter_mut().collect(),
-        }
+    /// Mutable references to the operands read by this statement itself, in
+    /// the order of [`Stmt::operands`].
+    pub fn operands_mut(&mut self) -> OperandsMut<'_> {
+        let fixed = match self {
+            Stmt::Def { op, .. } => return op.operands_mut(),
+            Stmt::StoreOutput { value, .. } => Some(value),
+            Stmt::If { cond, .. } => Some(cond),
+            Stmt::Loop { .. } => None,
+            Stmt::Discard { cond } => cond.as_mut(),
+        };
+        operand_iter([fixed, None, None], [].iter_mut())
     }
 
     /// The register defined by this statement, if it is a `Def`.
@@ -229,5 +233,64 @@ mod tests {
             Some(Reg(4))
         );
         assert_eq!(Stmt::Discard { cond: None }.defined_reg(), None);
+    }
+
+    /// The operand list as an allocated `Vec`: the reference order that
+    /// [`Stmt::operands`] and [`Stmt::operands_mut`] must keep.
+    fn vec_operands(stmt: &Stmt) -> Vec<Operand> {
+        match stmt {
+            Stmt::Def { op, .. } => op.operands().cloned().collect(),
+            Stmt::StoreOutput { value, .. } => vec![value.clone()],
+            Stmt::If { cond, .. } => vec![cond.clone()],
+            Stmt::Loop { .. } => vec![],
+            Stmt::Discard { cond } => cond.iter().cloned().collect(),
+        }
+    }
+
+    #[test]
+    fn operand_iterators_match_the_vec_listing_for_every_variant() {
+        let r = |i: u32| Operand::Reg(Reg(i));
+        let stmts = [
+            def(0, Op::Binary(BinaryOp::Sub, r(1), r(2))),
+            Stmt::StoreOutput {
+                output: 0,
+                components: Some(vec![1]),
+                value: r(1),
+            },
+            Stmt::If {
+                cond: r(1),
+                then_body: vec![def(2, Op::Mov(r(3)))],
+                else_body: vec![],
+            },
+            Stmt::Loop {
+                var: Reg(1),
+                start: 0,
+                end: 4,
+                step: 1,
+                body: vec![def(2, Op::Mov(r(1)))],
+            },
+            Stmt::Discard { cond: None },
+            Stmt::Discard { cond: Some(r(1)) },
+        ];
+        for mut stmt in stmts {
+            let expected = vec_operands(&stmt);
+            assert_eq!(stmt.operands().cloned().collect::<Vec<_>>(), expected);
+            let via_mut: Vec<Operand> = stmt.operands_mut().map(|o| o.clone()).collect();
+            assert_eq!(via_mut, expected);
+            // Only the statement's own operands: nested bodies are untouched.
+            for (i, o) in stmt.operands_mut().enumerate() {
+                *o = Operand::Input(i);
+            }
+            let written: Vec<Operand> = (0..expected.len()).map(Operand::Input).collect();
+            assert_eq!(vec_operands(&stmt), written, "{stmt:?}");
+            let mut nested = 0;
+            stmt.walk(&mut |s| {
+                nested += s
+                    .operands()
+                    .filter(|o| matches!(o, Operand::Input(_)))
+                    .count()
+            });
+            assert_eq!(nested, expected.len(), "{stmt:?}");
+        }
     }
 }

@@ -13,6 +13,18 @@ impl fmt::Display for Reg {
     }
 }
 
+/// The slot of `reg` in a table indexed by register number, for the passes
+/// and analyses that keep per-register state densely. A register beyond the
+/// table (one the shader's register list does not declare: malformed IR the
+/// verifier rejects) grows it with default slots.
+pub fn reg_slot<T: Default>(table: &mut Vec<T>, reg: Reg) -> &mut T {
+    let i = reg.0 as usize;
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
+}
+
 /// A compile-time constant value.
 ///
 /// Vector constants hold up to four `f64` lanes regardless of element kind;

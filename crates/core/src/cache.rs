@@ -1,7 +1,7 @@
-//! Cache stores for compile sessions: per-session and corpus-wide.
+//! The cache store behind compile sessions and the compile service.
 //!
-//! Both stores implement one model — a **fingerprint transition graph** with
-//! zero-copy storage:
+//! [`CorpusCache`] is a **fingerprint transition graph** with zero-copy
+//! storage:
 //!
 //! * **Exemplars** — one interned `Arc<Shader>` per *distinct IR structure*
 //!   (not per `(stage, fingerprint)` key), held in per-fingerprint chains so
@@ -19,18 +19,17 @@
 //!   ([`CacheStore::identity_stages`]) and skips every clean stage in O(1):
 //!   no re-fingerprint, no snapshot insert, no equality confirmation.
 //!   Consecutive identity edges collapse into a single mask read.
-//! * **Emissions** — emitted text keyed `(fingerprint, backend)`, entries
-//!   referencing their final-IR exemplar by generation (again: no per-hit
-//!   structural compare).
+//! * **Text memos** — emitted text keyed `(fingerprint, backend)` and
+//!   serialised static-analysis reports keyed `(fingerprint, personality)`,
+//!   entries referencing their final-IR exemplar by generation (again: no
+//!   per-hit structural compare).
 //!
-//! The [`CacheStore`] trait lets the same session code run against
-//!
-//! * a private [`SessionCache`] — the classic one-shader session, no locking;
-//! * a shared, thread-safe [`CorpusCache`] — one warm cache for a whole study
-//!   sweep. Übershader families share most of their IR, so a family member's
-//!   stage transitions and emitted text are routinely answered from work
-//!   another shader's session already did ("cross-shader" hits), across
-//!   worker threads.
+//! A standalone [`CompileSession`](crate::CompileSession) owns a private
+//! `CorpusCache`; the study sweep and the compile service share one across
+//! every session and worker thread. Übershader families share most of their
+//! IR, so a family member's stage transitions and emitted text are routinely
+//! answered from work another shader's session already did ("cross-shader"
+//! hits). The [`CacheStore`] trait is the session's view of the store.
 //!
 //! Fingerprint matches are only candidates: interning (and therefore every
 //! lookup) confirms a candidate with full structural IR equality before it
@@ -67,7 +66,6 @@
 use prism_emit::BackendKind;
 use prism_ir::fingerprint::Fingerprint;
 use prism_ir::Shader;
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,7 +91,7 @@ pub type SessionId = u64;
 /// schedule has far fewer stages; an (impossible today) stage at or past
 /// this index records a self-edge instead of a mask bit — correct, just not
 /// O(1).
-const MASK_STAGES: usize = 64;
+pub(crate) const MASK_STAGES: usize = 64;
 
 /// A node of the fingerprint transition graph: one distinct IR structure.
 ///
@@ -135,24 +133,21 @@ struct Edge {
     output: NodeId,
 }
 
-/// Emission-cache entry: the final-IR exemplar (by generation) and the
-/// emitted text. The text is a shared `Arc<str>` so a memo hit hands the
-/// caller a refcount bump, never a copy of the response body.
-struct EmitEntry {
+/// Text-memo entry: the exemplar (by generation) and its text — emitted
+/// source for one backend, or the serialised `StaticReport` JSON for one
+/// platform personality (opaque here: `prism-core` sits below the analyser
+/// in the crate graph). The text is a shared `Arc<str>` so a memo hit hands
+/// the caller a refcount bump, never a copy of the response body.
+struct TextEntry {
     owner: SessionId,
     input_gen: u64,
     text: Arc<str>,
 }
 
-/// Static-analysis memo entry: the analysed exemplar (by generation) and the
-/// serialised `StaticReport` JSON for one platform personality. The cache
-/// stores the report as opaque text — `prism-core` sits below the analyser in
-/// the crate graph, so the memo plane cannot (and need not) name its types.
-struct AnalysisEntry {
-    owner: SessionId,
-    input_gen: u64,
-    text: Arc<str>,
-}
+/// One text memo: per-fingerprint-shard maps keyed `(fingerprint, label)`,
+/// where the label is a [`BackendKind`] (emissions) or a personality name
+/// (analyses).
+type TextPlane<L> = Vec<RwLock<BoundedMap<(Fingerprint, L), TextEntry>>>;
 
 /// Finds `ir` in an exemplar chain: pointer identity first, then structural
 /// equality (once per collision candidate — the chain is almost always a
@@ -205,7 +200,7 @@ pub struct CacheStats {
     /// Subset of `emission_hits` answered by another session's entry.
     pub cross_shader_emission_hits: usize,
     /// Entries dropped by a bounded store's LRU policy (always 0 for
-    /// unbounded stores and for [`SessionCache`]).
+    /// unbounded stores).
     pub evictions: usize,
     /// Subset of `stage_hits` answered by an entry loaded from a warm-start
     /// snapshot ([`CorpusCache::load`]) rather than computed by any session
@@ -262,7 +257,8 @@ impl CacheStats {
     }
 }
 
-/// Storage backing a compile session's transition and emission memos.
+/// Storage backing a compile session's transition and emission memos;
+/// [`CorpusCache`] is the implementation.
 ///
 /// Implementations must answer lookups only after confirming structural IR
 /// equality against the stored exemplar (fingerprints are candidates, not
@@ -274,36 +270,24 @@ pub trait CacheStore {
     fn register_session(&self) -> SessionId;
 
     /// Like [`CacheStore::register_session`], but attributing the session to
-    /// an übershader family for per-family hit-rate telemetry. Stores without
-    /// family telemetry (the default) ignore the label.
-    fn register_session_in(&self, family: &str) -> SessionId {
-        let _ = family;
-        self.register_session()
-    }
+    /// an übershader family for per-family hit-rate telemetry.
+    fn register_session_in(&self, family: &str) -> SessionId;
 
     /// Interns `snapshot`'s IR into the exemplar store and returns the
     /// canonical snapshot for its structure (the first-interned `Arc` wins).
     /// Sessions intern their base once at construction so every later
-    /// lookup resolves by pointer identity. The default is a pass-through
-    /// for stores without an exemplar plane.
-    fn intern(&self, snapshot: Snapshot) -> Snapshot {
-        snapshot
-    }
+    /// lookup resolves by pointer identity.
+    fn intern(&self, snapshot: Snapshot) -> Snapshot;
 
     /// Bitmask over stage indices known to map `snapshot`'s structure to
     /// itself. A session reads this once per distinct state and skips every
     /// clean stage without any per-stage lookup; 0 when nothing is known.
-    fn identity_stages(&self, snapshot: &Snapshot) -> u64 {
-        let _ = snapshot;
-        0
-    }
+    fn identity_stages(&self, snapshot: &Snapshot) -> u64;
 
     /// Reports that a session took `count` identity transitions straight off
     /// an [`identity_stages`](CacheStore::identity_stages) mask (counted as
     /// stage hits; no per-transition lookup happened).
-    fn note_identity_skips(&self, session: SessionId, count: usize) {
-        let _ = (session, count);
-    }
+    fn note_identity_skips(&self, session: SessionId, count: usize);
 
     /// Looks up the output of running stage `stage` over `input`.
     fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot>;
@@ -339,232 +323,6 @@ pub trait CacheStore {
 
     /// Work/sharing counters accumulated so far.
     fn stats(&self) -> CacheStats;
-}
-
-/// The private, single-threaded store behind a standalone
-/// [`CompileSession`](crate::CompileSession): plain `HashMap`s with interior
-/// mutability and no locking.
-#[derive(Default)]
-pub struct SessionCache {
-    gens: Cell<u64>,
-    exemplars: RefCell<ExemplarMap>,
-    transitions: RefCell<HashMap<(usize, Fingerprint), Vec<Edge>>>,
-    emissions: RefCell<HashMap<(Fingerprint, BackendKind), Vec<EmitEntry>>>,
-    stats: RefCell<CacheStats>,
-}
-
-impl SessionCache {
-    /// An empty per-session store.
-    pub fn new() -> SessionCache {
-        SessionCache::default()
-    }
-
-    /// Resolve-or-insert: the node for `snap`'s structure, interning it on
-    /// first sight. Returns (generation, clean mask, canonical `Arc`).
-    fn intern_node(&self, snap: &Snapshot) -> (u64, u64, Arc<Shader>) {
-        let mut map = self.exemplars.borrow_mut();
-        let chain = map.entry(snap.fp).or_default();
-        if let Some(i) = chain_find(chain, &snap.ir) {
-            let e = &chain[i];
-            return (e.gen, e.clean_stages, Arc::clone(&e.ir));
-        }
-        let gen = self.gens.get();
-        self.gens.set(gen + 1);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snap.ir),
-            refs: 0,
-            clean_stages: 0,
-        });
-        (gen, 0, Arc::clone(&snap.ir))
-    }
-
-    /// Resolves `snap` without interning. `None` = structure never seen.
-    fn resolve_node(&self, snap: &Snapshot) -> Option<(u64, u64)> {
-        let map = self.exemplars.borrow();
-        let chain = map.get(&snap.fp)?;
-        chain_find(chain, &snap.ir).map(|i| (chain[i].gen, chain[i].clean_stages))
-    }
-
-    fn fetch_node(&self, node: NodeId) -> Option<Arc<Shader>> {
-        let map = self.exemplars.borrow();
-        map.get(&node.fp)?
-            .iter()
-            .find(|e| e.gen == node.gen)
-            .map(|e| Arc::clone(&e.ir))
-    }
-
-    fn add_ref(&self, node: NodeId) {
-        let mut map = self.exemplars.borrow_mut();
-        if let Some(e) = map
-            .get_mut(&node.fp)
-            .and_then(|c| c.iter_mut().find(|e| e.gen == node.gen))
-        {
-            e.refs += 1;
-        }
-    }
-}
-
-impl CacheStore for SessionCache {
-    fn register_session(&self) -> SessionId {
-        let mut stats = self.stats.borrow_mut();
-        stats.sessions += 1;
-        (stats.sessions - 1) as SessionId
-    }
-
-    fn intern(&self, snapshot: Snapshot) -> Snapshot {
-        let (_, _, ir) = self.intern_node(&snapshot);
-        Snapshot {
-            ir,
-            fp: snapshot.fp,
-        }
-    }
-
-    fn identity_stages(&self, snapshot: &Snapshot) -> u64 {
-        self.resolve_node(snapshot)
-            .map(|(_, clean)| clean)
-            .unwrap_or(0)
-    }
-
-    fn note_identity_skips(&self, _session: SessionId, count: usize) {
-        let mut stats = self.stats.borrow_mut();
-        stats.stage_hits += count;
-        stats.identity_transitions += count;
-        drop(stats);
-        for _ in 0..count {
-            prism_ir::counters::count_identity_transition();
-        }
-    }
-
-    fn transition(&self, session: SessionId, stage: usize, input: &Snapshot) -> Option<Snapshot> {
-        let (gen, clean) = self.resolve_node(input)?;
-        if stage < MASK_STAGES && clean & (1 << stage) != 0 {
-            let mut stats = self.stats.borrow_mut();
-            stats.stage_hits += 1;
-            stats.identity_transitions += 1;
-            drop(stats);
-            prism_ir::counters::count_identity_transition();
-            return Some(input.clone());
-        }
-        let found = self
-            .transitions
-            .borrow()
-            .get(&(stage, input.fp))
-            .and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|e| e.input_gen == gen)
-                    .map(|e| (e.owner, e.output))
-            });
-        let (owner, out_node) = found?;
-        let out_ir = self.fetch_node(out_node)?;
-        let mut stats = self.stats.borrow_mut();
-        stats.stage_hits += 1;
-        if owner != session {
-            stats.cross_shader_stage_hits += 1;
-        }
-        Some(Snapshot {
-            ir: out_ir,
-            fp: out_node.fp,
-        })
-    }
-
-    fn record_transition(
-        &self,
-        session: SessionId,
-        stage: usize,
-        input: Snapshot,
-        output: Snapshot,
-    ) {
-        self.stats.borrow_mut().stage_runs += 1;
-        let identity = is_identity(&input, &output);
-        let (in_gen, _, _) = self.intern_node(&input);
-        if identity && stage < MASK_STAGES {
-            let mut map = self.exemplars.borrow_mut();
-            if let Some(e) = map
-                .get_mut(&input.fp)
-                .and_then(|c| c.iter_mut().find(|e| e.gen == in_gen))
-            {
-                e.clean_stages |= 1 << stage;
-            }
-            return;
-        }
-        let (out_gen, _, _) = self.intern_node(&output);
-        let in_node = NodeId {
-            fp: input.fp,
-            gen: in_gen,
-        };
-        let out_node = NodeId {
-            fp: output.fp,
-            gen: out_gen,
-        };
-        self.add_ref(in_node);
-        self.add_ref(out_node);
-        self.transitions
-            .borrow_mut()
-            .entry((stage, input.fp))
-            .or_default()
-            .push(Edge {
-                owner: session,
-                input_gen: in_gen,
-                output: out_node,
-            });
-    }
-
-    fn emission(
-        &self,
-        session: SessionId,
-        backend: BackendKind,
-        state: &Snapshot,
-    ) -> Option<Arc<str>> {
-        let (gen, _) = self.resolve_node(state)?;
-        let found = self
-            .emissions
-            .borrow()
-            .get(&(state.fp, backend))
-            .and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|e| e.input_gen == gen)
-                    .map(|e| (e.owner, Arc::clone(&e.text)))
-            });
-        let (owner, text) = found?;
-        let mut stats = self.stats.borrow_mut();
-        stats.emission_hits += 1;
-        if owner != session {
-            stats.cross_shader_emission_hits += 1;
-        }
-        Some(text)
-    }
-
-    fn record_emission(
-        &self,
-        session: SessionId,
-        backend: BackendKind,
-        state: &Snapshot,
-        text: Arc<str>,
-    ) {
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.emissions += 1;
-            stats.emissions_by_backend[backend.index()] += 1;
-        }
-        let (gen, _, _) = self.intern_node(state);
-        self.add_ref(NodeId { fp: state.fp, gen });
-        self.emissions
-            .borrow_mut()
-            .entry((state.fp, backend))
-            .or_default()
-            .push(EmitEntry {
-                owner: session,
-                input_gen: gen,
-                text,
-            });
-    }
-
-    fn stats(&self) -> CacheStats {
-        *self.stats.borrow()
-    }
 }
 
 /// Number of lock shards in a [`CorpusCache`]. Keys are spread by
@@ -766,12 +524,13 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
     }
 }
 
-/// A thread-safe, corpus-wide cache store shared by many sessions.
+/// The thread-safe transition-graph cache store: private to a standalone
+/// session, or shared by many.
 ///
 /// The study sweep builds every shader's session against one `CorpusCache`,
 /// so übershader family members reuse each other's stage transitions and
 /// emitted text across worker threads. The exemplar store, the edge map and
-/// the emission memo are all sharded by fingerprint to keep lock contention
+/// the text memos are all sharded by fingerprint to keep lock contention
 /// off the hot path; counters are atomics.
 ///
 /// A cache built with [`CorpusCache::bounded`] additionally enforces an
@@ -820,10 +579,10 @@ pub struct CorpusCache {
     /// each other), writers take the exclusive lock once per record — or once
     /// per confirmed hit for the bounded stores' LRU touch.
     transitions: Vec<RwLock<BoundedMap<(usize, Fingerprint), Edge>>>,
-    emissions: Vec<RwLock<BoundedMap<(Fingerprint, BackendKind), EmitEntry>>>,
+    emissions: TextPlane<BackendKind>,
     /// Static-analysis memo, keyed `(fingerprint, personality name)` —
-    /// the third plane of the graph, mirroring `emissions`.
-    analyses: Vec<RwLock<BoundedMap<(Fingerprint, String), AnalysisEntry>>>,
+    /// the third plane of the graph, the same text memo as `emissions`.
+    analyses: TextPlane<String>,
     /// Personality names this process can recompute analyses for
     /// ([`CorpusCache::register_personalities`]). A persisted analysis under
     /// an unregistered name is skipped at load time — forward compatibility,
@@ -866,8 +625,10 @@ impl CorpusCache {
         CorpusCache::default()
     }
 
-    /// An empty store bounded to at most `max_entries` cached entries across
-    /// both memos, enforced with per-shard LRU eviction.
+    /// An empty store bounded to at most `max_entries` transition and
+    /// emission entries, enforced with per-shard LRU eviction. The third
+    /// plane, the analysis memo, gets the same per-shard-map slice on top
+    /// (see [`CorpusCache::entry_count`]).
     ///
     /// To enforce the bound without a global lock, the budget is split
     /// evenly across the `2 * SHARDS` (32) shard maps, quantizing the
@@ -1034,48 +795,44 @@ impl CorpusCache {
             .map(|(gen, clean, _)| (gen, clean))
     }
 
-    /// Resolve-or-insert with a reference taken, in one lock acquisition (so
-    /// the exemplar cannot be reclaimed between interning and the entry that
-    /// references it landing).
-    fn intern_node_ref(&self, snap: &Snapshot) -> NodeId {
+    /// Resolve-or-insert in one lock acquisition: the node for `snap`'s
+    /// structure and its canonical `Arc` (the first-interned allocation),
+    /// interning it on first sight. `refs` references are taken and
+    /// `clean_stages` is merged into the identity mask under the same lock,
+    /// so the exemplar cannot be reclaimed between interning and the entry
+    /// that references it landing.
+    fn intern_node(
+        &self,
+        snap: &Snapshot,
+        refs: usize,
+        clean_stages: u64,
+    ) -> (NodeId, Arc<Shader>) {
         let mut map = self.exemplars[Self::shard(snap.fp)]
             .write()
             .expect("corpus cache poisoned");
         let chain = map.entry(snap.fp).or_default();
-        if let Some(i) = chain_find(chain, &snap.ir) {
-            chain[i].refs += 1;
-            return NodeId {
-                fp: snap.fp,
-                gen: chain[i].gen,
-            };
-        }
-        let gen = self.gens.fetch_add(1, Ordering::Relaxed);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snap.ir),
-            refs: 1,
-            clean_stages: 0,
-        });
-        NodeId { fp: snap.fp, gen }
-    }
-
-    /// Resolve-or-insert and set clean-stage bits, in one lock acquisition.
-    fn intern_node_clean(&self, snap: &Snapshot, stage_bits: u64) {
-        let mut map = self.exemplars[Self::shard(snap.fp)]
-            .write()
-            .expect("corpus cache poisoned");
-        let chain = map.entry(snap.fp).or_default();
-        if let Some(i) = chain_find(chain, &snap.ir) {
-            chain[i].clean_stages |= stage_bits;
-            return;
-        }
-        let gen = self.gens.fetch_add(1, Ordering::Relaxed);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snap.ir),
-            refs: 0,
-            clean_stages: stage_bits,
-        });
+        let e = match chain_find(chain, &snap.ir) {
+            Some(i) => {
+                let e = &mut chain[i];
+                e.refs += refs;
+                e.clean_stages |= clean_stages;
+                e
+            }
+            None => {
+                chain.push(Exemplar {
+                    gen: self.gens.fetch_add(1, Ordering::Relaxed),
+                    ir: Arc::clone(&snap.ir),
+                    refs,
+                    clean_stages,
+                });
+                chain.last_mut().expect("just pushed")
+            }
+        };
+        let node = NodeId {
+            fp: snap.fp,
+            gen: e.gen,
+        };
+        (node, Arc::clone(&e.ir))
     }
 
     fn fetch_node(&self, node: NodeId) -> Option<Arc<Shader>> {
@@ -1138,7 +895,9 @@ impl CorpusCache {
         }
     }
 
-    fn release_evicted_emissions(&self, evicted: Vec<((Fingerprint, BackendKind), EmitEntry)>) {
+    /// Releases the exemplar references a batch of evicted text-memo
+    /// entries held (either plane).
+    fn release_evicted_text<L>(&self, evicted: Vec<((Fingerprint, L), TextEntry)>) {
         self.evictions.fetch_add(evicted.len(), Ordering::Relaxed);
         for ((fp, _), entry) in evicted {
             self.release_node(NodeId {
@@ -1148,14 +907,70 @@ impl CorpusCache {
         }
     }
 
-    fn release_evicted_analyses(&self, evicted: Vec<((Fingerprint, String), AnalysisEntry)>) {
-        self.evictions.fetch_add(evicted.len(), Ordering::Relaxed);
-        for ((fp, _), entry) in evicted {
-            self.release_node(NodeId {
-                fp,
-                gen: entry.input_gen,
-            });
+    /// The text-memo lookup both planes share: structural confirmation
+    /// through the exemplar plane, shared-allocation handout, LRU touch of
+    /// exactly the resolved entry on bounded stores. Returns the entry's
+    /// owner with the text; the caller counts the hit on its own plane's
+    /// counters.
+    fn text_lookup<L: Eq + Hash + Clone>(
+        &self,
+        plane: &TextPlane<L>,
+        label: L,
+        state: &Snapshot,
+    ) -> Option<(SessionId, Arc<str>)> {
+        let (gen, _) = self.resolve_node(state)?;
+        let key = (state.fp, label);
+        let found = {
+            let shard = plane[Self::shard(state.fp)]
+                .read()
+                .expect("corpus cache poisoned");
+            shard.peek(&key).and_then(|bucket| {
+                bucket
+                    .iter()
+                    .find(|(_, e)| e.input_gen == gen)
+                    .map(|(_, e)| (e.owner, Arc::clone(&e.text)))
+            })
+        };
+        let found = found?;
+        // Only bounded stores pay this write-lock acquisition; an unbounded
+        // store's hit path is read-locks only.
+        if self.shard_budget.is_some() {
+            let now = self.now();
+            plane[Self::shard(state.fp)]
+                .write()
+                .expect("corpus cache poisoned")
+                .refresh(&key, now, |e| e.input_gen == gen);
         }
+        Some(found)
+    }
+
+    /// The text-memo record both planes share: interns `state` with a
+    /// reference taken, inserts the entry stamped now, and releases whatever
+    /// the LRU evicted. The caller has already counted the work.
+    fn text_record<L: Eq + Hash + Clone>(
+        &self,
+        plane: &TextPlane<L>,
+        label: L,
+        session: SessionId,
+        state: &Snapshot,
+        text: Arc<str>,
+    ) {
+        let (node, _) = self.intern_node(state, 1, 0);
+        let now = self.now();
+        let evicted = plane[Self::shard(state.fp)]
+            .write()
+            .expect("corpus cache poisoned")
+            .insert(
+                (state.fp, label),
+                TextEntry {
+                    owner: session,
+                    input_gen: node.gen,
+                    text,
+                },
+                now,
+                self.shard_budget,
+            );
+        self.release_evicted_text(evicted);
     }
 
     /// Declares the platform-personality names this process can recompute
@@ -1183,41 +998,22 @@ impl CorpusCache {
     }
 
     /// Looks up the memoised static-analysis report of `state` for
-    /// `personality`. Mirrors [`CacheStore::emission`]: structural
-    /// confirmation through the exemplar plane, shared-allocation handout,
-    /// warm/cross-session attribution, LRU touch on bounded stores.
+    /// `personality` through the same text memo as [`CacheStore::emission`],
+    /// counting the hit in `analysis_memo_hits` (and `warm_analysis_hits`
+    /// when a warm-start entry answered). This plane keeps no per-session or
+    /// cross-session counter, so `session` is not consulted.
     pub fn analysis(
         &self,
         session: SessionId,
         personality: &str,
         state: &Snapshot,
     ) -> Option<Arc<str>> {
-        let (gen, _) = self.resolve_node(state)?;
-        let key = (state.fp, personality.to_string());
-        let found = {
-            let shard = self.analyses[Self::shard(state.fp)]
-                .read()
-                .expect("corpus cache poisoned");
-            shard.peek(&key).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(_, e)| e.input_gen == gen)
-                    .map(|(_, e)| (e.owner, Arc::clone(&e.text)))
-            })
-        };
-        let (owner, text) = found?;
-        if self.shard_budget.is_some() {
-            let now = self.now();
-            self.analyses[Self::shard(state.fp)]
-                .write()
-                .expect("corpus cache poisoned")
-                .refresh(&key, now, |e| e.input_gen == gen);
-        }
+        let _ = session;
+        let (owner, text) = self.text_lookup(&self.analyses, personality.to_string(), state)?;
         self.analysis_memo_hits.fetch_add(1, Ordering::Relaxed);
         if owner == WARM_OWNER {
             self.warm_analysis_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let _ = session;
         Some(text)
     }
 
@@ -1231,56 +1027,13 @@ impl CorpusCache {
         text: Arc<str>,
     ) {
         self.static_analyses.fetch_add(1, Ordering::Relaxed);
-        let node = self.intern_node_ref(state);
-        let now = self.now();
-        let evicted = {
-            let mut map = self.analyses[Self::shard(state.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            map.insert(
-                (state.fp, personality.to_string()),
-                AnalysisEntry {
-                    owner: session,
-                    input_gen: node.gen,
-                    text,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_analyses(evicted);
-    }
-
-    /// Inserts one restored analysis under [`WARM_OWNER`] (see
-    /// [`CorpusCache::insert_warm_edge`]). Used by the persist module.
-    fn insert_warm_analysis(&self, personality: &str, input: NodeId, text: Arc<str>) -> bool {
-        self.add_node_ref(input);
-        let key = (input.fp, personality.to_string());
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let evicted = {
-            let mut map = self.analyses[Self::shard(input.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            if let Some(bucket) = map.peek(&key) {
-                if bucket.iter().any(|(_, e)| e.input_gen == input.gen) {
-                    drop(map);
-                    self.release_node(input);
-                    return false;
-                }
-            }
-            map.insert(
-                key,
-                AnalysisEntry {
-                    owner: WARM_OWNER,
-                    input_gen: input.gen,
-                    text,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_analyses(evicted);
-        true
+        self.text_record(
+            &self.analyses,
+            personality.to_string(),
+            session,
+            state,
+            text,
+        );
     }
 }
 
@@ -1299,24 +1052,11 @@ impl CacheStore for CorpusCache {
     }
 
     fn intern(&self, snapshot: Snapshot) -> Snapshot {
-        let mut map = self.exemplars[Self::shard(snapshot.fp)]
-            .write()
-            .expect("corpus cache poisoned");
-        let chain = map.entry(snapshot.fp).or_default();
-        if let Some(i) = chain_find(chain, &snapshot.ir) {
-            return Snapshot {
-                ir: Arc::clone(&chain[i].ir),
-                fp: snapshot.fp,
-            };
+        let (_, ir) = self.intern_node(&snapshot, 0, 0);
+        Snapshot {
+            ir,
+            fp: snapshot.fp,
         }
-        let gen = self.gens.fetch_add(1, Ordering::Relaxed);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snapshot.ir),
-            refs: 0,
-            clean_stages: 0,
-        });
-        snapshot
     }
 
     fn identity_stages(&self, snapshot: &Snapshot) -> u64 {
@@ -1408,11 +1148,11 @@ impl CacheStore for CorpusCache {
         if stage < MASK_STAGES && is_identity(&input, &output) {
             // One bit instead of an edge: every future replay of this stage
             // over this structure is a mask read.
-            self.intern_node_clean(&input, 1 << stage);
+            self.intern_node(&input, 0, 1 << stage);
             return;
         }
-        let in_node = self.intern_node_ref(&input);
-        let out_node = self.intern_node_ref(&output);
+        let (in_node, _) = self.intern_node(&input, 1, 0);
+        let (out_node, _) = self.intern_node(&output, 1, 0);
         let now = self.now();
         let evicted = {
             let mut map = self.transitions[Self::shard(input.fp)]
@@ -1438,27 +1178,7 @@ impl CacheStore for CorpusCache {
         backend: BackendKind,
         state: &Snapshot,
     ) -> Option<Arc<str>> {
-        let (gen, _) = self.resolve_node(state)?;
-        let key = (state.fp, backend);
-        let found = {
-            let shard = self.emissions[Self::shard(state.fp)]
-                .read()
-                .expect("corpus cache poisoned");
-            shard.peek(&key).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(_, e)| e.input_gen == gen)
-                    .map(|(_, e)| (e.owner, Arc::clone(&e.text)))
-            })
-        };
-        let (owner, text) = found?;
-        if self.shard_budget.is_some() {
-            let now = self.now();
-            self.emissions[Self::shard(state.fp)]
-                .write()
-                .expect("corpus cache poisoned")
-                .refresh(&key, now, |e| e.input_gen == gen);
-        }
+        let (owner, text) = self.text_lookup(&self.emissions, backend, state)?;
         self.emission_hits.fetch_add(1, Ordering::Relaxed);
         if owner == WARM_OWNER {
             self.warm_emission_hits.fetch_add(1, Ordering::Relaxed);
@@ -1484,24 +1204,7 @@ impl CacheStore for CorpusCache {
         self.bump_family(session, |f| {
             f.emissions.fetch_add(1, Ordering::Relaxed);
         });
-        let node = self.intern_node_ref(state);
-        let now = self.now();
-        let evicted = {
-            let mut map = self.emissions[Self::shard(state.fp)]
-                .write()
-                .expect("corpus cache poisoned");
-            map.insert(
-                (state.fp, backend),
-                EmitEntry {
-                    owner: session,
-                    input_gen: node.gen,
-                    text,
-                },
-                now,
-                self.shard_budget,
-            )
-        };
-        self.release_evicted_emissions(evicted);
+        self.text_record(&self.emissions, backend, session, state, text);
     }
 
     fn stats(&self) -> CacheStats {
@@ -1624,7 +1327,7 @@ mod tests {
         assert!(stats.stage_hit_rate() > 0.6);
     }
 
-    /// The identity-transition contract, shared by both stores: a recorded
+    /// The identity-transition contract: a recorded
     /// identity becomes a mask bit, the mask answers O(1), and the answer is
     /// the very snapshot asked about (zero-copy, zero confirmation).
     fn exercise_identity(store: &dyn CacheStore) {
@@ -1664,18 +1367,8 @@ mod tests {
     }
 
     #[test]
-    fn session_cache_stores_and_confirms() {
-        exercise(&SessionCache::new());
-    }
-
-    #[test]
     fn corpus_cache_stores_and_confirms() {
         exercise(&CorpusCache::new());
-    }
-
-    #[test]
-    fn session_cache_collapses_identity_transitions() {
-        exercise_identity(&SessionCache::new());
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //! Intel Xeon virtual machine, 0.63 s of it JSON parsing.
 
 use super::{
-    chain_find, CorpusCache, Edge, EmitEntry, Exemplar, NodeId, Snapshot, SHARDS, WARM_OWNER,
+    CorpusCache, Edge, Exemplar, NodeId, Snapshot, TextEntry, TextPlane, SHARDS, WARM_OWNER,
 };
 use crate::pipeline::build_schedule;
 use prism_emit::BackendKind;
@@ -71,6 +71,7 @@ use prism_ir::fingerprint::{fingerprint, Fingerprint};
 use prism_ir::verify::verify;
 use prism_ir::Shader;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -177,7 +178,8 @@ pub struct LoadReport {
     /// Shard files present but rejected (see the module's trust policy);
     /// each degrades to a cold shard.
     pub shards_skipped: usize,
-    /// Entries restored across both memos.
+    /// Entries restored across the three planes (edges, emissions,
+    /// analyses).
     pub entries_loaded: usize,
     /// Entries inside accepted shards that were individually skipped: an
     /// emission under a backend name unknown to this build (a snapshot from
@@ -196,8 +198,8 @@ pub struct LoadReport {
 pub struct SaveReport {
     /// Shard files written (always [`SHARDS`](super::SHARDS) on success).
     pub shards_written: usize,
-    /// Entries written across both memos (exemplars are storage, not
-    /// entries, and are not counted).
+    /// Entries written across the three planes (edges, emissions,
+    /// analyses; exemplars are storage, not entries, and are not counted).
     pub entries_written: usize,
 }
 
@@ -449,7 +451,7 @@ impl CorpusCache {
                     .iter()
                     .map(|slot| {
                         slot.as_ref()
-                            .map(|(snap, clean)| self.intern_warm_exemplar(snap, *clean))
+                            .map(|(snap, clean)| self.intern_node(snap, 0, *clean).0)
                     })
                     .collect(),
                 None => Vec::new(),
@@ -481,7 +483,7 @@ impl CorpusCache {
                     skipped += 1;
                     continue;
                 };
-                if self.insert_warm_emission(*backend, input_node, Arc::clone(text)) {
+                if self.insert_warm_text(&self.emissions, *backend, input_node, Arc::clone(text)) {
                     loaded += 1;
                 }
             }
@@ -497,7 +499,12 @@ impl CorpusCache {
                     skipped += 1;
                     continue;
                 };
-                if self.insert_warm_analysis(personality, input_node, Arc::clone(text)) {
+                if self.insert_warm_text(
+                    &self.analyses,
+                    personality.clone(),
+                    input_node,
+                    Arc::clone(text),
+                ) {
                     loaded += 1;
                 }
             }
@@ -559,35 +566,8 @@ impl CorpusCache {
         // so this sort is stable across save→load→save.
         transitions.sort_unstable();
 
-        let mut emissions: Vec<(usize, &'static str, String)> = {
-            let map = self.emissions[shard].read().expect("corpus cache poisoned");
-            map.map
-                .iter()
-                .flat_map(|((_, backend), bucket)| {
-                    bucket.iter().filter_map(move |(_, e)| {
-                        let (in_shard, input) = *index.get(&e.input_gen)?;
-                        debug_assert_eq!(in_shard, shard, "emission keyed outside its shard");
-                        Some((input, backend.name(), e.text.to_string()))
-                    })
-                })
-                .collect()
-        };
-        emissions.sort_unstable();
-
-        let mut analyses: Vec<(usize, String, String)> = {
-            let map = self.analyses[shard].read().expect("corpus cache poisoned");
-            map.map
-                .iter()
-                .flat_map(|((_, personality), bucket)| {
-                    bucket.iter().filter_map(move |(_, e)| {
-                        let (in_shard, input) = *index.get(&e.input_gen)?;
-                        debug_assert_eq!(in_shard, shard, "analysis keyed outside its shard");
-                        Some((input, personality.clone(), e.text.to_string()))
-                    })
-                })
-                .collect()
-        };
-        analyses.sort_unstable();
+        let emissions = text_payload(&self.emissions, shard, index, |b| b.name().to_string());
+        let analyses = text_payload(&self.analyses, shard, index, String::clone);
 
         ShardPayload {
             exemplars: persisted_exemplars,
@@ -603,7 +583,7 @@ impl CorpusCache {
             emissions: emissions
                 .into_iter()
                 .map(|(input, backend, text)| PersistedEmission {
-                    backend: backend.to_string(),
+                    backend,
                     input,
                     text,
                 })
@@ -617,31 +597,6 @@ impl CorpusCache {
                 })
                 .collect(),
         }
-    }
-
-    /// Interns one restored exemplar (or merges its clean mask into an
-    /// already-present structure). The fingerprint was computed exactly once
-    /// during parsing and rides in `snap`.
-    fn intern_warm_exemplar(&self, snap: &Snapshot, clean_stages: u64) -> NodeId {
-        let mut map = self.exemplars[Self::shard(snap.fp)]
-            .write()
-            .expect("corpus cache poisoned");
-        let chain = map.entry(snap.fp).or_default();
-        if let Some(i) = chain_find(chain, &snap.ir) {
-            chain[i].clean_stages |= clean_stages;
-            return NodeId {
-                fp: snap.fp,
-                gen: chain[i].gen,
-            };
-        }
-        let gen = self.gens.fetch_add(1, Ordering::Relaxed);
-        chain.push(Exemplar {
-            gen,
-            ir: Arc::clone(&snap.ir),
-            refs: 0,
-            clean_stages,
-        });
-        NodeId { fp: snap.fp, gen }
     }
 
     /// Inserts one restored edge under [`WARM_OWNER`], deduplicating against
@@ -683,14 +638,20 @@ impl CorpusCache {
         true
     }
 
-    /// Inserts one restored emission under [`WARM_OWNER`] (see
+    /// Inserts one restored emission or analysis under [`WARM_OWNER`] (see
     /// [`CorpusCache::insert_warm_edge`]).
-    fn insert_warm_emission(&self, backend: BackendKind, input: NodeId, text: Arc<str>) -> bool {
+    fn insert_warm_text<L: Eq + Hash + Clone>(
+        &self,
+        plane: &TextPlane<L>,
+        label: L,
+        input: NodeId,
+        text: Arc<str>,
+    ) -> bool {
         self.add_node_ref(input);
-        let key = (input.fp, backend);
+        let key = (input.fp, label);
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         let evicted = {
-            let mut map = self.emissions[Self::shard(input.fp)]
+            let mut map = plane[Self::shard(input.fp)]
                 .write()
                 .expect("corpus cache poisoned");
             if let Some(bucket) = map.peek(&key) {
@@ -702,7 +663,7 @@ impl CorpusCache {
             }
             map.insert(
                 key,
-                EmitEntry {
+                TextEntry {
                     owner: WARM_OWNER,
                     input_gen: input.gen,
                     text,
@@ -711,9 +672,36 @@ impl CorpusCache {
                 self.shard_budget,
             )
         };
-        self.release_evicted_emissions(evicted);
+        self.release_evicted_text(evicted);
         true
     }
+}
+
+/// One text plane's entries of `shard` in file-index form, `(input index,
+/// label, text)`, sorted for byte determinism (see
+/// [`CorpusCache::shard_payload`]).
+fn text_payload<L>(
+    plane: &TextPlane<L>,
+    shard: usize,
+    index: &HashMap<u64, (usize, usize)>,
+    label: impl Fn(&L) -> String,
+) -> Vec<(usize, String, String)> {
+    let mut entries: Vec<(usize, String, String)> = {
+        let map = plane[shard].read().expect("corpus cache poisoned");
+        map.map
+            .iter()
+            .flat_map(|((_, l), bucket)| {
+                let label = &label;
+                bucket.iter().filter_map(move |(_, e)| {
+                    let (in_shard, input) = *index.get(&e.input_gen)?;
+                    debug_assert_eq!(in_shard, shard, "text entry keyed outside its shard");
+                    Some((input, label(l), e.text.to_string()))
+                })
+            })
+            .collect()
+    };
+    entries.sort_unstable();
+    entries
 }
 
 /// Validates one shard file standalone — everything short of cross-file edge

@@ -12,10 +12,12 @@
 //! * [`passes`] — the optimization passes themselves.
 //! * [`pipeline`] — the staged pass schedule and single-shot compilation.
 //! * [`session`] — lower-once, prefix-shared variant compilation sessions
-//!   with per-backend (desktop GLSL / mobile GLES) emission memos.
-//! * [`cache`] — the session memo stores: private per-session, or one
-//!   thread-safe corpus-wide cache shared by a whole study sweep, optionally
-//!   bounded with LRU eviction and per-family hit-rate telemetry.
+//!   with per-backend (desktop GLSL / mobile GLES) emission memos, and the
+//!   one replay walk ([`replay_schedule`]) the compile service shares.
+//! * [`cache`] — the memo store: one thread-safe transition-graph cache,
+//!   private to a standalone session or shared by a whole study sweep or
+//!   compile service, optionally bounded with LRU eviction and per-family
+//!   hit-rate telemetry.
 //! * [`variant`] — exhaustive variant generation and deduplication (§V-C).
 
 pub mod cache;
@@ -29,17 +31,16 @@ pub mod variant;
 
 pub use cache::persist::{LoadReport, SaveReport};
 pub use cache::{
-    shard_of, CacheStats, CacheStore, CorpusCache, FamilyCacheStats, SessionCache, Snapshot,
-    FINGERPRINT_SHARDS,
+    shard_of, CacheStats, CacheStore, CorpusCache, FamilyCacheStats, Snapshot, FINGERPRINT_SHARDS,
 };
 pub use flags::{Flag, OptFlags};
 pub use lower::{lower, LowerError};
 pub use pipeline::{
     build_pipeline, build_schedule, compile, compile_ir, CompileError, CompiledShader, Stage,
 };
-pub use session::{CompileSession, SessionStats};
+pub use session::{emit_memoised, lower_base, replay_schedule, CompileSession, SessionStats};
 pub use specialize::{
     candidate_keys, spec_counters, specialize_shader, verify_specialization, GuardedDispatch,
     SpecAssumption, SpecCounters, SpecDivergence, SpecError, SpecKey, SpecValue, SpecVerification,
 };
-pub use variant::{unique_variants, Variant, VariantSet};
+pub use variant::{Variant, VariantSet};

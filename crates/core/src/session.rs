@@ -27,17 +27,19 @@
 //!    GLES drivers alike.
 //!
 //! Both memos live behind a [`CacheStore`]: a standalone session owns a
-//! private [`SessionCache`](crate::cache::SessionCache), while the study
-//! sweep hands every session one shared, thread-safe
-//! [`CorpusCache`](crate::cache::CorpusCache) so übershader families share
-//! work *across* shaders too.
+//! private [`CorpusCache`], while the study sweep hands every session one
+//! shared [`CorpusCache`] so übershader families share work *across* shaders
+//! too. The walk itself is [`replay_schedule`] plus [`emit_memoised`], and
+//! the base it starts from comes from [`lower_base`]; the compile service
+//! calls the same three functions against its own shared cache, so a
+//! session and the service answer each other's requests.
 //!
 //! Fingerprint matches are only candidates: the store confirms every cache
 //! hit with full structural equality before reusing a snapshot, so a hash
 //! collision can never silently merge different variants (a guarantee the
 //! property suite exercises).
 
-use crate::cache::{CacheStore, SessionCache, SessionId, Snapshot};
+use crate::cache::{CacheStore, CorpusCache, SessionId, Snapshot, MASK_STAGES};
 use crate::flags::OptFlags;
 use crate::lower::lower;
 use crate::pipeline::{build_schedule, CompileError, CompiledShader, Stage};
@@ -52,10 +54,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Counters describing how much work a session actually performed (and how
-/// much it shared). Useful for benchmarks and regression tests. These are the
-/// session's own counters; a shared store's corpus-wide view (including
-/// cross-shader sharing) lives in [`CacheStats`](crate::cache::CacheStats).
+/// Counters describing how much work a session (or one compile-service
+/// request) actually performed, and how much it shared. Useful for
+/// benchmarks and regression tests. These are the caller's own counters; a
+/// shared store's corpus-wide view (including cross-shader sharing) lives in
+/// [`CacheStats`](crate::cache::CacheStats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Stage executions that actually ran passes (cache misses).
@@ -78,6 +81,145 @@ impl SessionStats {
             self.stage_hits as f64 / total as f64
         }
     }
+
+    /// The work-counter latency: stage runs + emissions (hits are free).
+    /// Deterministic (unlike wall-clock), which is what lets the perf gate
+    /// hold a service's p50/p99 to a baseline.
+    pub fn latency(&self) -> usize {
+        self.stage_runs + self.emissions
+    }
+}
+
+/// Lowers `source` once, verifies the IR, fingerprints it and interns it
+/// into `cache`'s exemplar plane: the base snapshot every flag walk starts
+/// from. Callers over one cache that lower structurally identical IR share
+/// one allocation, and every later lookup resolves it by pointer identity.
+///
+/// # Errors
+///
+/// [`CompileError::Lower`] when lowering fails, [`CompileError::Verify`] when
+/// it produces invalid IR.
+pub fn lower_base<S: CacheStore + ?Sized>(
+    cache: &S,
+    source: &ShaderSource,
+    name: &str,
+) -> Result<Snapshot, CompileError> {
+    let ir = lower(source, name)?;
+    verify(&ir).map_err(CompileError::Verify)?;
+    Ok(cache.intern(Snapshot {
+        fp: fingerprint(&ir),
+        ir: Arc::new(ir),
+    }))
+}
+
+/// Runs the stages of `schedule` that `flags` enables, from `start`, against
+/// the transition graph in `cache` — the one replay walk behind sessions,
+/// the study sweep and the compile service. Work is counted into `stats`.
+///
+/// The walk reads the store's clean-stage mask once per *distinct* state
+/// (not once per stage): every enabled stage the mask marks as identity for
+/// the current structure is skipped outright — no lookup, no fingerprint, no
+/// clone — and consecutive identity stages collapse into a single mask read.
+/// Any other stage is answered by a transition edge when one exists, and
+/// otherwise run over a clone of the IR and recorded. Only a real transition
+/// (new structure) re-reads the mask, so a memo-warm walk does zero IR
+/// clones.
+///
+/// # Errors
+///
+/// [`CompileError::Verify`] if a pass breaks IR invariants (an internal bug).
+pub fn replay_schedule<S: CacheStore + ?Sized>(
+    cache: &S,
+    session: SessionId,
+    schedule: &[Stage],
+    start: Snapshot,
+    flags: OptFlags,
+    stats: &mut SessionStats,
+) -> Result<Snapshot, CompileError> {
+    let mut state = start;
+    let mut clean = cache.identity_stages(&state);
+    let mut skipped = 0usize;
+    for (stage_idx, stage) in schedule.iter().enumerate() {
+        if !stage.enabled_for(flags) {
+            continue;
+        }
+        let bit = if stage_idx < MASK_STAGES {
+            1 << stage_idx
+        } else {
+            0
+        };
+        if clean & bit != 0 {
+            skipped += 1;
+            continue;
+        }
+        let next = match cache.transition(session, stage_idx, &state) {
+            Some(output) => {
+                stats.stage_hits += 1;
+                output
+            }
+            None => {
+                let mut ir = (*state.ir).clone();
+                let changed = stage.run(&mut ir);
+                let output = if changed {
+                    // Verified on every cache miss in all build profiles,
+                    // mirroring the post-pipeline check the per-combination
+                    // `compile_ir` performs: a pass that corrupts IR must
+                    // surface as an error, never as silently emitted (and
+                    // cached) garbage.
+                    verify(&ir).map_err(CompileError::Verify)?;
+                    let output = Snapshot {
+                        fp: fingerprint(&ir),
+                        ir: Arc::new(ir),
+                    };
+                    cache.record_transition(session, stage_idx, state.clone(), output.clone());
+                    output
+                } else {
+                    // Identity fast path: every pass reported the IR
+                    // untouched, so the input snapshot *is* the output — no
+                    // re-verify, no fingerprint, no new allocation. The
+                    // store records it as a clean-stage bit.
+                    cache.record_transition(session, stage_idx, state.clone(), state.clone());
+                    state.clone()
+                };
+                stats.stage_runs += 1;
+                output
+            }
+        };
+        if Arc::ptr_eq(&next.ir, &state.ir) {
+            // The stage just proved itself clean for this structure; keep
+            // the local mask coherent without another store read.
+            clean |= bit;
+        } else {
+            state = next;
+            clean = cache.identity_stages(&state);
+        }
+    }
+    if skipped > 0 {
+        stats.stage_hits += skipped;
+        cache.note_identity_skips(session, skipped);
+    }
+    Ok(state)
+}
+
+/// Emits text for a final snapshot through `backend`, memoised on
+/// (fingerprint, backend) with structural-equality confirmation by `cache`.
+/// A hit counts into `stats.emission_hits` and hands back the memo's shared
+/// handle; a miss runs the emitter once and counts into `stats.emissions`.
+pub fn emit_memoised<S: CacheStore + ?Sized>(
+    cache: &S,
+    session: SessionId,
+    backend: BackendKind,
+    state: &Snapshot,
+    stats: &mut SessionStats,
+) -> Arc<str> {
+    if let Some(text) = cache.emission(session, backend, state) {
+        stats.emission_hits += 1;
+        return text;
+    }
+    let text: Arc<str> = Arc::from(backend.backend().emit(&state.ir));
+    stats.emissions += 1;
+    cache.record_emission(session, backend, state, Arc::clone(&text));
+    text
 }
 
 /// A per-shader compilation session: lowers the shader to IR once and derives
@@ -132,18 +274,13 @@ impl CompileSession {
     /// Returns [`CompileError`] when lowering fails or produces invalid IR;
     /// these failures are flag-independent, so a session that constructs
     /// successfully can compile every combination.
-    // The Arc is type-uniformity with shared stores, not thread-sharing: a
-    // `SessionCache` (RefCell, no locks) never leaves this session, and the
-    // session itself is !Send. Thread-crossing callers use `with_cache` and a
-    // Send + Sync `CorpusCache`.
-    #[allow(clippy::arc_with_non_send_sync)]
     pub fn new(source: &ShaderSource, name: &str) -> Result<CompileSession, CompileError> {
-        CompileSession::with_cache(source, name, Arc::new(SessionCache::new()))
+        CompileSession::with_cache(source, name, Arc::new(CorpusCache::new()))
     }
 
     /// Like [`CompileSession::new`], but memoising against `cache` — pass a
-    /// shared [`CorpusCache`](crate::cache::CorpusCache) to let übershader
-    /// family members reuse each other's stage transitions and emitted text.
+    /// shared [`CorpusCache`] to let übershader family members reuse each
+    /// other's stage transitions and emitted text.
     ///
     /// # Errors
     ///
@@ -157,9 +294,8 @@ impl CompileSession {
     }
 
     /// Like [`CompileSession::with_cache`], but registering the session under
-    /// an übershader `family` label so a family-aware store (the
-    /// [`CorpusCache`](crate::cache::CorpusCache)) can report per-family
-    /// hit-rate telemetry. The label is attribution only — it never changes
+    /// an übershader `family` label so the [`CorpusCache`] can report
+    /// per-family hit-rate telemetry. The label is attribution only — it never changes
     /// what the session compiles.
     ///
     /// # Errors
@@ -180,20 +316,11 @@ impl CompileSession {
         family: Option<&str>,
         cache: Arc<dyn CacheStore>,
     ) -> Result<CompileSession, CompileError> {
-        let ir = lower(source, name)?;
-        verify(&ir).map_err(CompileError::Verify)?;
-        let fp = fingerprint(&ir);
+        let base = lower_base(&*cache, source, name)?;
         let id = match family {
             Some(family) => cache.register_session_in(family),
             None => cache.register_session(),
         };
-        // Intern the base into the store's exemplar plane: family members
-        // with identical lowerings then share one allocation, and every
-        // later lookup resolves this session's states by pointer identity.
-        let base = cache.intern(Snapshot {
-            ir: Arc::new(ir),
-            fp,
-        });
         Ok(CompileSession {
             name: name.to_string(),
             schedule: build_schedule(),
@@ -465,85 +592,17 @@ impl CompileSession {
     }
 
     /// Runs the enabled stages for `flags` from an arbitrary starting
-    /// snapshot — the base IR, or a specialized base.
-    ///
-    /// The walk reads the store's clean-stage mask once per *distinct* state
-    /// (not once per stage): every enabled stage the mask marks as identity
-    /// for the current structure is skipped outright — no lookup, no
-    /// fingerprint, no clone — and consecutive identity stages collapse into
-    /// a single mask read. Only a real transition (new structure) re-reads
-    /// the mask.
+    /// snapshot — the base IR, or a specialized base (see
+    /// [`replay_schedule`]).
     fn optimize_from(&self, start: Snapshot, flags: OptFlags) -> Result<Snapshot, CompileError> {
-        let mut state = start;
-        let mut clean = self.cache.identity_stages(&state);
-        let mut skipped = 0usize;
-        for (stage_idx, stage) in self.schedule.iter().enumerate() {
-            if !stage.enabled_for(flags) {
-                continue;
-            }
-            if stage_idx < 64 && clean & (1 << stage_idx) != 0 {
-                skipped += 1;
-                continue;
-            }
-            let next = self.apply_stage(stage_idx, stage, state.clone())?;
-            if Arc::ptr_eq(&next.ir, &state.ir) {
-                // The stage just proved itself clean for this structure;
-                // remember it locally so a later replay in this same walk
-                // (impossible today, stages run once) and the mask stay
-                // coherent without another store read.
-                if stage_idx < 64 {
-                    clean |= 1 << stage_idx;
-                }
-            } else {
-                state = next;
-                clean = self.cache.identity_stages(&state);
-            }
-        }
-        if skipped > 0 {
-            self.stats.borrow_mut().stage_hits += skipped;
-            self.cache.note_identity_skips(self.id, skipped);
-        }
-        Ok(state)
-    }
-
-    /// Applies one stage to a snapshot, memoised on (stage, fingerprint) with
-    /// structural-equality confirmation by the store.
-    fn apply_stage(
-        &self,
-        stage_idx: usize,
-        stage: &Stage,
-        input: Snapshot,
-    ) -> Result<Snapshot, CompileError> {
-        if let Some(output) = self.cache.transition(self.id, stage_idx, &input) {
-            self.stats.borrow_mut().stage_hits += 1;
-            return Ok(output);
-        }
-
-        let mut ir = (*input.ir).clone();
-        let changed = stage.run(&mut ir);
-        if !changed {
-            // Identity fast path: every pass reported the IR untouched, so
-            // the input snapshot *is* the output — no re-verify (the input
-            // was verified when it was produced), no fingerprint, no new
-            // allocation. The store records it as a clean-stage bit.
-            self.stats.borrow_mut().stage_runs += 1;
-            self.cache
-                .record_transition(self.id, stage_idx, input.clone(), input.clone());
-            return Ok(input);
-        }
-        // Verified on every cache miss in all build profiles, mirroring the
-        // post-pipeline check the per-combination `compile_ir` performs: a
-        // pass that corrupts IR must surface as an error, never as silently
-        // emitted (and cached) garbage.
-        verify(&ir).map_err(CompileError::Verify)?;
-        let output = Snapshot {
-            fp: fingerprint(&ir),
-            ir: Arc::new(ir),
-        };
-        self.stats.borrow_mut().stage_runs += 1;
-        self.cache
-            .record_transition(self.id, stage_idx, input, output.clone());
-        Ok(output)
+        replay_schedule(
+            &*self.cache,
+            self.id,
+            &self.schedule,
+            start,
+            flags,
+            &mut self.stats.borrow_mut(),
+        )
     }
 
     /// The snapshot's IR under this session's name. Cached snapshots may
@@ -560,19 +619,16 @@ impl CompileSession {
         Arc::new(ir)
     }
 
-    /// Emits text for a final snapshot through `backend`, memoised on
-    /// (fingerprint, backend) with structural-equality confirmation.
+    /// Emits text for a final snapshot through `backend` (see
+    /// [`emit_memoised`]).
     fn emit(&self, state: &Snapshot, backend: BackendKind) -> Arc<str> {
-        if let Some(text) = self.cache.emission(self.id, backend, state) {
-            self.stats.borrow_mut().emission_hits += 1;
-            return text;
-        }
-
-        let text: Arc<str> = Arc::from(backend.backend().emit(&state.ir));
-        self.stats.borrow_mut().emissions += 1;
-        self.cache
-            .record_emission(self.id, backend, state, Arc::clone(&text));
-        text
+        emit_memoised(
+            &*self.cache,
+            self.id,
+            backend,
+            state,
+            &mut self.stats.borrow_mut(),
+        )
     }
 }
 

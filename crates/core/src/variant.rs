@@ -6,11 +6,10 @@
 //! shaders" (§V-C, Fig. 4c). This module reproduces that step: it compiles
 //! all combinations, groups them by identical emitted GLSL, and records which
 //! flag sets produced each distinct variant.
+//! [`CompileSession::variants`](crate::CompileSession::variants) builds a
+//! [`VariantSet`].
 
 use crate::flags::{Flag, OptFlags};
-use crate::pipeline::CompileError;
-use crate::session::CompileSession;
-use prism_glsl::ShaderSource;
 use prism_ir::Shader;
 use std::collections::HashMap;
 
@@ -77,27 +76,11 @@ impl VariantSet {
     }
 }
 
-/// Compiles all 256 flag combinations of a shader and deduplicates them by
-/// generated source text.
-///
-/// This is a thin wrapper over [`CompileSession`]: the shader is lowered
-/// once, schedule-prefix snapshots are shared across combinations, and
-/// identical intermediate IR short-circuits before GLSL emission. The
-/// resulting [`VariantSet`] — variant order, flag grouping and text — is
-/// identical to brute-force compiling each combination independently.
-///
-/// # Errors
-///
-/// Returns the first [`CompileError`] encountered: front-end and lowering
-/// failures (shared by all combinations), or a flag-dependent
-/// [`CompileError::Verify`] if a pass breaks IR invariants (an internal bug).
-pub fn unique_variants(source: &ShaderSource, name: &str) -> Result<VariantSet, CompileError> {
-    CompileSession::new(source, name)?.variants()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::CompileSession;
+    use prism_glsl::ShaderSource;
 
     fn simple_source() -> ShaderSource {
         ShaderSource::parse(
@@ -123,7 +106,10 @@ mod tests {
 
     #[test]
     fn simple_shaders_have_few_variants() {
-        let set = unique_variants(&simple_source(), "simple").unwrap();
+        let set = CompileSession::new(&simple_source(), "simple")
+            .unwrap()
+            .variants()
+            .unwrap();
         // A shader with no loops, branches, divisions or insert chains barely
         // changes: far fewer than 256 distinct outputs, most flag sets map to
         // the baseline.
@@ -134,14 +120,20 @@ mod tests {
 
     #[test]
     fn complex_shaders_have_more_variants_but_far_fewer_than_256() {
-        let set = unique_variants(&loopy_source(), "loopy").unwrap();
+        let set = CompileSession::new(&loopy_source(), "loopy")
+            .unwrap()
+            .variants()
+            .unwrap();
         assert!(set.unique_count() > 2);
         assert!(set.unique_count() < 64, "got {}", set.unique_count());
     }
 
     #[test]
     fn adce_never_changes_code_but_unroll_does() {
-        let set = unique_variants(&loopy_source(), "loopy").unwrap();
+        let set = CompileSession::new(&loopy_source(), "loopy")
+            .unwrap()
+            .variants()
+            .unwrap();
         assert!(!set.flag_changes_code(Flag::Adce));
         assert!(set.flag_changes_code(Flag::Unroll));
         assert!(set.flag_changes_code(Flag::DivToMul));
@@ -149,7 +141,10 @@ mod tests {
 
     #[test]
     fn variant_lookup_is_consistent() {
-        let set = unique_variants(&loopy_source(), "loopy").unwrap();
+        let set = CompileSession::new(&loopy_source(), "loopy")
+            .unwrap()
+            .variants()
+            .unwrap();
         for flags in [
             OptFlags::NONE,
             OptFlags::all(),

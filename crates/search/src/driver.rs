@@ -41,7 +41,7 @@
 
 use crate::bandit::RegretTracker;
 use crate::evaluator::{EvalCost, Evaluator, OracleEvaluator};
-use crate::results::{percent_speedup, SearchRecord, ShaderPlatformRecord, StudyResults};
+use crate::results::{percent_speedup, SearchRecord, StudyResults};
 use crate::sweep::StudyConfig;
 use prism_core::{CacheStore, CompileSession, CorpusCache, Flag, OptFlags};
 use prism_corpus::Corpus;
@@ -157,26 +157,6 @@ impl<'a> SearchDriver<'a> {
             evaluated: RefCell::new(HashMap::new()),
             log: RefCell::new(Vec::new()),
         }
-    }
-
-    /// A driver over `session` scoring against `record`, emitting through
-    /// `backend` (the platform's declared backend), with a hard `budget` of
-    /// distinct combinations.
-    #[deprecated(
-        since = "0.9.0",
-        note = "construct an evaluator explicitly: \
-                `SearchDriver::over(Box::new(OracleEvaluator::new(session, record, backend)), budget)`"
-    )]
-    pub fn new(
-        session: &'a CompileSession,
-        record: &'a ShaderPlatformRecord,
-        backend: BackendKind,
-        budget: usize,
-    ) -> SearchDriver<'a> {
-        SearchDriver::over(
-            Box::new(OracleEvaluator::new(session, record, backend)),
-            budget,
-        )
     }
 
     /// Frame time of `flags`, evaluating it on demand. `None` once the
@@ -590,7 +570,7 @@ pub fn incremental_search_records(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::results::VariantRecord;
+    use crate::results::{ShaderPlatformRecord, VariantRecord};
     use prism_glsl::ShaderSource;
 
     const BLURRY: &str = r#"
@@ -692,13 +672,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_still_builds_an_oracle_driver() {
+    fn oracle_driver_warm_starts_at_the_default_with_the_evaluator_seed() {
         let session = session();
         let record = synthetic_record(Flag::Unroll, Flag::Gvn);
-        let driver = SearchDriver::new(&session, &record, BackendKind::DesktopGlsl, 63);
-        assert_eq!(driver.evaluate(OptFlags::NONE), Some(1010.0));
-        assert_eq!(driver.evaluate(OptFlags::only(Flag::Unroll)), Some(900.0));
+        let driver = oracle_driver(&session, &record, 63);
         assert_eq!(driver.warm_start(), OptFlags::lunarglass_default());
         // Same FNV-1a context seed as the evaluator seam computes directly.
         assert_eq!(

@@ -68,7 +68,7 @@ pub mod tune;
 pub use load::{percentile, request_stream, run_stream, LoadSummary, StreamSpec};
 pub use service::{
     CompileRequest, CompileRequestBuilder, CompileResponse, CompileService, RequestTarget,
-    RequestWork, ServeConfig, ServeError, ServiceStats,
+    ServeConfig, ServeError, ServiceStats,
 };
 pub use tune::{TuneOutcome, TuneSpec, TuneStrategy};
 
@@ -105,6 +105,67 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.front_hits, 1);
         assert_eq!(stats.cache.routed_requests, 2);
+    }
+
+    /// A `CompileSession` over the service's cache and the service itself
+    /// run one walk against one key space: each answers the other's
+    /// requests with the same bytes, for every backend, at zero work.
+    #[test]
+    fn sessions_and_the_service_answer_each_others_requests() {
+        // A loop and a division, so the flags change the optimized IR.
+        const LOOPY: &str = "uniform sampler2D tex;\nuniform vec4 ambient;\nin vec2 uv;\nout vec4 c;\nvoid main() {\n    const vec2[] offs = vec2[](vec2(-0.01), vec2(0.0), vec2(0.01));\n    c = vec4(0.0);\n    for (int i = 0; i < 3; i++) {\n        c += texture(tex, uv + offs[i]) * ambient;\n    }\n    c /= 3.0;\n}\n";
+        let request = |flags, backend| CompileRequest::new(LOOPY, flags, backend);
+        let service = CompileService::new(ServeConfig::default());
+        let served = OptFlags::all();
+        let responses: Vec<CompileResponse> = BackendKind::ALL
+            .iter()
+            .map(|&backend| service.compile(&request(served, backend)).unwrap())
+            .collect();
+
+        let source = prism_glsl::ShaderSource::parse(LOOPY).unwrap();
+        let session = prism_core::CompileSession::with_cache(
+            &source,
+            &service::source_name(LOOPY),
+            service.cache().clone() as Arc<dyn CacheStore>,
+        )
+        .unwrap();
+        for response in &responses {
+            let text = session.text_for(served, response.backend).unwrap();
+            assert_eq!(*text, *response.text, "{}", response.backend);
+            assert_eq!(
+                session.optimized_fingerprint(served).unwrap(),
+                response.fingerprint
+            );
+        }
+        let stats = session.stats();
+        assert_eq!(stats.stage_runs, 0, "{stats:?}");
+        assert_eq!(stats.emissions, 0, "{stats:?}");
+
+        // The reverse: combinations only the session has compiled come back
+        // from the service free.
+        let warmed = [OptFlags::NONE, OptFlags::lunarglass_default()];
+        let mut texts = Vec::new();
+        for flags in warmed {
+            for backend in BackendKind::ALL {
+                texts.push(session.text_for(flags, backend).unwrap());
+            }
+        }
+        assert!(
+            session.stats().latency() > 0,
+            "the session must have warmed something new: {:?}",
+            session.stats()
+        );
+        let runs_before = service.stats().cache.stage_runs;
+        let mut texts = texts.into_iter();
+        for flags in warmed {
+            for backend in BackendKind::ALL {
+                let response = service.compile(&request(flags, backend)).unwrap();
+                assert_eq!(response.work.latency(), 0, "{:?}", response.work);
+                assert!(response.zero_copy);
+                assert_eq!(response.text, texts.next().unwrap());
+            }
+        }
+        assert_eq!(service.stats().cache.stage_runs, runs_before);
     }
 
     #[test]

@@ -31,8 +31,9 @@
 use prism_core::cache::SessionId;
 use prism_core::specialize::default_probe_points;
 use prism_core::{
-    build_schedule, shard_of, specialize_shader, CacheStats, CacheStore, CorpusCache, OptFlags,
-    Snapshot, SpecKey, Stage, FINGERPRINT_SHARDS,
+    build_schedule, emit_memoised, lower_base, replay_schedule, shard_of, specialize_shader,
+    CacheStats, CacheStore, CorpusCache, OptFlags, SessionStats, Snapshot, SpecKey, Stage,
+    FINGERPRINT_SHARDS,
 };
 use prism_emit::{BackendChain, BackendKind};
 use prism_glsl::ShaderInterface;
@@ -288,31 +289,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Deterministic work counters of one served compile — the service's latency
-/// measure (stage runs and emissions are the units of real work; hits are
-/// free). A coalesced waiter reports the leader's work, because that is the
-/// work its response cost the service.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RequestWork {
-    /// Stages actually executed (transition-memo misses).
-    pub stage_runs: usize,
-    /// Stages answered from the transition memo.
-    pub stage_hits: usize,
-    /// Emissions actually performed (emission-memo misses).
-    pub emissions: usize,
-    /// Emissions answered from the emission memo.
-    pub emission_hits: usize,
-}
-
-impl RequestWork {
-    /// The work-counter latency of this request: stage runs + emissions.
-    /// Deterministic (unlike wall-clock), which is what lets the perf gate
-    /// hold p50/p99 to a baseline.
-    pub fn latency(&self) -> usize {
-        self.stage_runs + self.emissions
-    }
-}
-
 /// A served compile.
 #[derive(Debug, Clone)]
 pub struct CompileResponse {
@@ -327,8 +303,11 @@ pub struct CompileResponse {
     pub fingerprint: Fingerprint,
     /// The shader's external interface (from the shared front stage).
     pub interface: Arc<ShaderInterface>,
-    /// Work-counter latency breakdown.
-    pub work: RequestWork,
+    /// Work-counter latency breakdown ([`SessionStats::latency`] is the
+    /// service's deterministic latency measure: stage runs and emissions are
+    /// real work, hits are free). A coalesced waiter reports the leader's
+    /// work, because that is the work its response cost the service.
+    pub work: SessionStats,
     /// `true` when this response was coalesced onto another in-flight
     /// request instead of compiling on its own.
     pub coalesced: bool,
@@ -359,7 +338,7 @@ struct FlightKey {
 struct Served {
     text: Arc<str>,
     fp: Fingerprint,
-    work: RequestWork,
+    work: SessionStats,
     zero_copy: bool,
     analysis: Option<Arc<str>>,
 }
@@ -853,18 +832,10 @@ impl Inner {
             .map_err(|e| ServeError::Frontend(e.to_string()))?;
         // Requests are anonymous; name the shader by its source hash so the
         // IR (and everything memoised from it) is deterministic per text.
-        let name = source_name(source);
-        let ir =
-            prism_core::lower(&parsed, &name).map_err(|e| ServeError::Frontend(e.to_string()))?;
-        verify(&ir).map_err(|e| ServeError::Frontend(e.to_string()))?;
-        let fp = fingerprint(&ir);
-        // Intern the base into the cache's exemplar plane: repeat requests
-        // (and racing duplicate lowers) of the same source then share one
-        // allocation, and the compute walk resolves it by pointer identity.
-        let base = self.cache.intern(Snapshot {
-            ir: Arc::new(ir),
-            fp,
-        });
+        // Interned into the cache's exemplar plane: repeat requests (and
+        // racing duplicate lowers) of the same source share one allocation.
+        let base = lower_base(&*self.cache, &parsed, &source_name(source))
+            .map_err(|e| ServeError::Frontend(e.to_string()))?;
         Ok(Arc::new(FrontEntry {
             base,
             interface: Arc::new(parsed.interface),
@@ -950,10 +921,10 @@ impl Inner {
         guard.finish(result);
     }
 
-    /// The memo-backed compile: replays the pass schedule against the shared
-    /// cache (stage transitions confirmed structurally, exactly like a
-    /// `CompileSession`), then answers the emission from the memo or runs
-    /// the emitter once and records it.
+    /// The memo-backed compile: the session walk ([`replay_schedule`])
+    /// against the shared cache, then the memoised emission
+    /// ([`emit_memoised`]) — the same functions a `CompileSession` calls, so
+    /// the two share one key space.
     fn compute(&self, job: &Job) -> Result<Served, ServeError> {
         if let Some(hook) = self.hook.read().expect("hook poisoned").as_ref() {
             hook(&FlightProbe {
@@ -966,86 +937,31 @@ impl Inner {
         // memo, emission memo, analysis memo) dedups by fingerprint with no
         // special cases.
         let base = self.spec_base(job)?;
-        let mut work = RequestWork::default();
-        let state = with_schedule(|schedule| -> Result<Snapshot, ServeError> {
-            // The same walk a `CompileSession` performs: read the store's
-            // clean-stage mask once per distinct state, skip every enabled
-            // stage it marks as identity in O(1) (no lookup, no fingerprint,
-            // no clone), and re-read it only after a real transition. A
-            // memo-warm request therefore does zero IR clones end to end.
-            let mut state = base.clone();
-            let mut clean = self.cache.identity_stages(&state);
-            let mut skipped = 0usize;
-            for (stage_idx, stage) in schedule.iter().enumerate() {
-                if !stage.enabled_for(job.key.flags) {
-                    continue;
-                }
-                if stage_idx < 64 && clean & (1 << stage_idx) != 0 {
-                    skipped += 1;
-                    work.stage_hits += 1;
-                    continue;
-                }
-                if let Some(output) = self.cache.transition(self.session, stage_idx, &state) {
-                    work.stage_hits += 1;
-                    if Arc::ptr_eq(&output.ir, &state.ir) {
-                        if stage_idx < 64 {
-                            clean |= 1 << stage_idx;
-                        }
-                    } else {
-                        state = output;
-                        clean = self.cache.identity_stages(&state);
-                    }
-                    continue;
-                }
-                let mut ir = (*state.ir).clone();
-                let changed = stage.run(&mut ir);
-                work.stage_runs += 1;
-                if !changed {
-                    // Identity fast path: the input snapshot is the output —
-                    // record the clean bit, keep the allocation, skip the
-                    // re-verify and re-fingerprint.
-                    self.cache.record_transition(
-                        self.session,
-                        stage_idx,
-                        state.clone(),
-                        state.clone(),
-                    );
-                    if stage_idx < 64 {
-                        clean |= 1 << stage_idx;
-                    }
-                    continue;
-                }
-                verify(&ir).map_err(|e| ServeError::Compile(e.to_string()))?;
-                let output = Snapshot {
-                    fp: fingerprint(&ir),
-                    ir: Arc::new(ir),
-                };
-                self.cache
-                    .record_transition(self.session, stage_idx, state, output.clone());
-                state = output;
-                clean = self.cache.identity_stages(&state);
-            }
-            if skipped > 0 {
-                self.cache.note_identity_skips(self.session, skipped);
-            }
-            Ok(state)
-        })?;
-
-        let backend = job.key.backend;
-        let (text, zero_copy) = match self.cache.emission(self.session, backend, &state) {
-            Some(text) => {
-                work.emission_hits += 1;
-                self.counters.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
-                (text, true)
-            }
-            None => {
-                let text: Arc<str> = Arc::from(backend.backend().emit(&state.ir));
-                work.emissions += 1;
-                self.cache
-                    .record_emission(self.session, backend, &state, Arc::clone(&text));
-                (text, false)
-            }
-        };
+        let mut work = SessionStats::default();
+        let state = with_schedule(|schedule| {
+            replay_schedule(
+                &*self.cache,
+                self.session,
+                schedule,
+                base,
+                job.key.flags,
+                &mut work,
+            )
+        })
+        .map_err(|e| ServeError::Compile(e.to_string()))?;
+        let text = emit_memoised(
+            &*self.cache,
+            self.session,
+            job.key.backend,
+            &state,
+            &mut work,
+        );
+        // One emission per request: the body is the memo's handle iff no
+        // emitter ran.
+        let zero_copy = work.emissions == 0;
+        if zero_copy {
+            self.counters.zero_copy_hits.fetch_add(1, Ordering::Relaxed);
+        }
         // The analysis rides the same memo discipline as emitted text: one
         // walk of the optimized IR per distinct `(fingerprint, personality)`,
         // then shared `Arc` handles forever (including across warm restarts).

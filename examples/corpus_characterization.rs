@@ -6,7 +6,7 @@
 //! cargo run --release --example corpus_characterization
 //! ```
 
-use prism::core::unique_variants;
+use prism::core::CompileSession;
 use prism::corpus::Corpus;
 use prism::glsl::loc::LocSummary;
 use prism::gpu::{Platform, Vendor};
@@ -28,7 +28,8 @@ fn main() {
             .submit(&case.source.text, &case.name)
             .map(|c| arm.static_cycles(&c.driver_ir).total())
             .unwrap_or(0.0);
-        let variants = unique_variants(&case.source, &case.name)
+        let variants = CompileSession::new(&case.source, &case.name)
+            .and_then(|s| s.variants())
             .map(|v| v.unique_count())
             .unwrap_or(0);
         variant_counts.push(variants);

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: front-end → optimizer → back-end → driver →
 //! cost model, exercised together the way the study uses them.
 
-use prism::core::{compile, unique_variants, Flag, OptFlags};
+use prism::core::{compile, CompileSession, Flag, OptFlags};
 use prism::emit::Backend;
 use prism::glsl::ShaderSource;
 use prism::gpu::{Platform, Vendor};
@@ -47,7 +47,9 @@ fn optimized_glsl_reparses_with_identical_interface() {
     ];
     for name in representatives {
         let case = corpus.case(name).expect("representative exists");
-        let variants = unique_variants(&case.source, name).expect("variants");
+        let variants = CompileSession::new(&case.source, name)
+            .and_then(|s| s.variants())
+            .expect("variants");
         for variant in &variants.variants {
             let reparsed = ShaderSource::preprocess_and_parse(&variant.glsl, &Default::default())
                 .unwrap_or_else(|e| {
@@ -171,7 +173,9 @@ fn adce_never_changes_generated_code() {
         "particle_02",
     ] {
         let case = corpus.case(name).expect("case exists");
-        let variants = unique_variants(&case.source, name).expect("variants");
+        let variants = CompileSession::new(&case.source, name)
+            .and_then(|s| s.variants())
+            .expect("variants");
         assert!(
             !variants.flag_changes_code(Flag::Adce),
             "{name}: ADCE should never change the output"
@@ -186,7 +190,8 @@ fn variant_counts_match_figure_4c_shape() {
     let corpus = prism::corpus::Corpus::gfxbench_like();
     let count = |name: &str| {
         let case = corpus.case(name).expect("case exists");
-        unique_variants(&case.source, name)
+        CompileSession::new(&case.source, name)
+            .and_then(|s| s.variants())
             .expect("variants")
             .unique_count()
     };

@@ -20,7 +20,7 @@
 //!   result stays byte-identical to cold per-session compilation, for both
 //!   the desktop and GLES emission backends.
 
-use prism::core::{compile, unique_variants, CacheStore, CompileSession, CorpusCache, OptFlags};
+use prism::core::{compile, CacheStore, CompileSession, CorpusCache, OptFlags};
 use prism::emit::{Backend, BackendKind};
 use prism::glsl::ShaderSource;
 use prism::ir::interp::{results_approx_equal, run_fragment, FragmentContext};
@@ -174,7 +174,9 @@ fn emitted_glsl_reparses_and_keeps_interface() {
 #[test]
 fn variant_dedup_is_consistent_with_text_equality() {
     for source in generated_sources(8, 0xD00D) {
-        let set = unique_variants(&source, "gen").expect("variants");
+        let set = CompileSession::new(&source, "gen")
+            .and_then(|s| s.variants())
+            .expect("variants");
         // Spot-check a handful of flag sets against their variant's text.
         for bits in [0u8, 1, 16, 64, 255] {
             let flags = OptFlags::from_bits(bits);

@@ -23,6 +23,9 @@
 //!   serialised static-analysis reports keyed `(fingerprint, personality)`,
 //!   entries referencing their final-IR exemplar by generation (again: no
 //!   per-hit structural compare).
+//! * **Specialized bases** — [`specialize_base`](crate::specialize_base)'s
+//!   checked fold per `(base exemplar, SpecKey)`; neither bounded nor
+//!   persisted.
 //!
 //! A standalone [`CompileSession`](crate::CompileSession) owns a private
 //! `CorpusCache`; the study sweep and the compile service share one across
@@ -63,6 +66,7 @@
 //! from disk are reported separately (`warm_*` counters) from hits produced
 //! by this process's own sessions.
 
+use crate::specialize::SpecKey;
 use prism_emit::BackendKind;
 use prism_ir::fingerprint::Fingerprint;
 use prism_ir::Shader;
@@ -99,7 +103,7 @@ pub(crate) const MASK_STAGES: usize = 64;
 /// across a lock release (or inside an edge that outlives its exemplar) can
 /// go stale — a failed fetch, a cache miss — but can never silently alias a
 /// different structure that later landed in the same chain slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct NodeId {
     fp: Fingerprint,
     gen: u64,
@@ -145,8 +149,8 @@ struct TextEntry {
 }
 
 /// One text memo: per-fingerprint-shard maps keyed `(fingerprint, label)`,
-/// where the label is a [`BackendKind`] (emissions) or a personality name
-/// (analyses).
+/// where the label is a [`BackendKind`] (emissions) or the index of a
+/// registered personality name (analyses).
 type TextPlane<L> = Vec<RwLock<BoundedMap<(Fingerprint, L), TextEntry>>>;
 
 /// Finds `ir` in an exemplar chain: pointer identity first, then structural
@@ -320,6 +324,14 @@ pub trait CacheStore {
         state: &Snapshot,
         text: Arc<str>,
     );
+
+    /// Looks up the specialized base `key` derives from `base` (see
+    /// [`specialize_base`](crate::specialize_base)), keyed on `base`'s
+    /// interned exemplar, never on its bare fingerprint.
+    fn specialization(&self, base: &Snapshot, key: &SpecKey) -> Option<Snapshot>;
+
+    /// Records that `key` specializes `base` to the interned `specialized`.
+    fn record_specialization(&self, base: &Snapshot, key: &SpecKey, specialized: &Snapshot);
 
     /// Work/sharing counters accumulated so far.
     fn stats(&self) -> CacheStats;
@@ -580,14 +592,18 @@ pub struct CorpusCache {
     /// per confirmed hit for the bounded stores' LRU touch.
     transitions: Vec<RwLock<BoundedMap<(usize, Fingerprint), Edge>>>,
     emissions: TextPlane<BackendKind>,
-    /// Static-analysis memo, keyed `(fingerprint, personality name)` —
-    /// the third plane of the graph, the same text memo as `emissions`.
-    analyses: TextPlane<String>,
+    /// Static-analysis memo, keyed `(fingerprint, personality label)` —
+    /// the third plane of the graph, the same text memo as `emissions`. The
+    /// label is the name's index in `personalities`.
+    analyses: TextPlane<usize>,
     /// Personality names this process can recompute analyses for
     /// ([`CorpusCache::register_personalities`]). A persisted analysis under
     /// an unregistered name is skipped at load time — forward compatibility,
     /// like an unknown backend.
     personalities: RwLock<Vec<String>>,
+    /// Specialized-base memo, keyed `(base exemplar, spec key)`: never
+    /// evicted, outside the entry budget, pinning both exemplars.
+    specializations: Vec<RwLock<HashMap<(NodeId, SpecKey), Snapshot>>>,
     families: RwLock<FamilyTable>,
     stage_runs: AtomicUsize,
     stage_hits: AtomicUsize,
@@ -660,6 +676,7 @@ impl CorpusCache {
                 .map(|_| RwLock::new(BoundedMap::new()))
                 .collect(),
             personalities: RwLock::new(Vec::new()),
+            specializations: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             families: RwLock::new(FamilyTable::default()),
             stage_runs: AtomicUsize::new(0),
             stage_hits: AtomicUsize::new(0),
@@ -987,29 +1004,23 @@ impl CorpusCache {
         }
     }
 
-    /// Whether `name` was declared through
-    /// [`CorpusCache::register_personalities`].
-    pub(crate) fn known_personality(&self, name: &str) -> bool {
+    /// The analysis-memo label of `name`, if it was registered (through
+    /// [`CorpusCache::register_personalities`] or a recorded analysis).
+    fn personality_label(&self, name: &str) -> Option<usize> {
         self.personalities
             .read()
             .expect("corpus cache poisoned")
             .iter()
-            .any(|k| k == name)
+            .position(|k| k == name)
     }
 
     /// Looks up the memoised static-analysis report of `state` for
     /// `personality` through the same text memo as [`CacheStore::emission`],
     /// counting the hit in `analysis_memo_hits` (and `warm_analysis_hits`
-    /// when a warm-start entry answered). This plane keeps no per-session or
-    /// cross-session counter, so `session` is not consulted.
-    pub fn analysis(
-        &self,
-        session: SessionId,
-        personality: &str,
-        state: &Snapshot,
-    ) -> Option<Arc<str>> {
-        let _ = session;
-        let (owner, text) = self.text_lookup(&self.analyses, personality.to_string(), state)?;
+    /// when a warm-start entry answered).
+    pub fn analysis(&self, personality: &str, state: &Snapshot) -> Option<Arc<str>> {
+        let label = self.personality_label(personality)?;
+        let (owner, text) = self.text_lookup(&self.analyses, label, state)?;
         self.analysis_memo_hits.fetch_add(1, Ordering::Relaxed);
         if owner == WARM_OWNER {
             self.warm_analysis_hits.fetch_add(1, Ordering::Relaxed);
@@ -1018,7 +1029,8 @@ impl CorpusCache {
     }
 
     /// Records a freshly computed static-analysis report (serialised JSON)
-    /// for `(state, personality)` and counts the walk in `static_analyses`.
+    /// for `(state, personality)`, registering the personality, and counts
+    /// the walk in `static_analyses`.
     pub fn record_analysis(
         &self,
         session: SessionId,
@@ -1027,13 +1039,11 @@ impl CorpusCache {
         text: Arc<str>,
     ) {
         self.static_analyses.fetch_add(1, Ordering::Relaxed);
-        self.text_record(
-            &self.analyses,
-            personality.to_string(),
-            session,
-            state,
-            text,
-        );
+        self.register_personalities(&[personality]);
+        let label = self
+            .personality_label(personality)
+            .expect("just registered");
+        self.text_record(&self.analyses, label, session, state, text);
     }
 }
 
@@ -1207,6 +1217,27 @@ impl CacheStore for CorpusCache {
         self.text_record(&self.emissions, backend, session, state, text);
     }
 
+    fn specialization(&self, base: &Snapshot, key: &SpecKey) -> Option<Snapshot> {
+        let (gen, _) = self.resolve_node(base)?;
+        let node = NodeId { fp: base.fp, gen };
+        self.specializations[Self::shard(base.fp)]
+            .read()
+            .expect("corpus cache poisoned")
+            .get(&(node, key.clone()))
+            .cloned()
+    }
+
+    fn record_specialization(&self, base: &Snapshot, key: &SpecKey, specialized: &Snapshot) {
+        // The entry is never removed, so it pins both exemplars for good (a
+        // racing duplicate's extra references change nothing).
+        let (base_node, _) = self.intern_node(base, 1, 0);
+        self.intern_node(specialized, 1, 0);
+        self.specializations[Self::shard(base.fp)]
+            .write()
+            .expect("corpus cache poisoned")
+            .insert((base_node, key.clone()), specialized.clone());
+    }
+
     fn stats(&self) -> CacheStats {
         CacheStats {
             sessions: self.sessions.load(Ordering::Relaxed) as usize,
@@ -1374,6 +1405,37 @@ mod tests {
     #[test]
     fn corpus_cache_collapses_identity_transitions() {
         exercise_identity(&CorpusCache::new());
+    }
+
+    #[test]
+    fn specializations_are_keyed_on_the_base_exemplar_not_its_fingerprint() {
+        use crate::specialize::{SpecKey, SpecValue};
+        let cache = CorpusCache::new();
+        let key = SpecKey::single(0, SpecValue::Zero);
+        let base = cache.intern(snapshot(1));
+        let folded = cache.intern(snapshot(2));
+        assert!(cache.specialization(&base, &key).is_none());
+        cache.record_specialization(&base, &key, &folded);
+
+        // A structurally equal base resolves to the same exemplar and is
+        // answered with the interned fold itself.
+        let equal = Snapshot {
+            ir: Arc::new((*base.ir).clone()),
+            fp: base.fp,
+        };
+        let hit = cache.specialization(&equal, &key).expect("hit");
+        assert!(Arc::ptr_eq(&hit.ir, &folded.ir));
+        assert!(cache
+            .specialization(&base, &SpecKey::single(0, SpecValue::One))
+            .is_none());
+        // A different structure under the base's fingerprint never answers.
+        let forged = Snapshot {
+            ir: snapshot(3).ir,
+            fp: base.fp,
+        };
+        assert!(cache.specialization(&forged, &key).is_none());
+        // The plane is not an entry plane: no budget share, no eviction.
+        assert_eq!(cache.entry_count(), 0);
     }
 
     #[test]

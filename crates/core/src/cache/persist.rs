@@ -122,7 +122,7 @@ const CANARY: &str = r#"
 
 /// A stable fingerprint of the compiler that produced a snapshot: the pass
 /// schedule's *structure* (stage order, labels, gating flags, per-stage pass
-/// lists) combined with its observable *behaviour* — the [`CANARY`] shader is
+/// lists) combined with its observable *behaviour* — the `CANARY` shader is
 /// lowered and pushed through every stage (flagged or not), hashing the IR
 /// fingerprint after each stage and the emitted text of every backend.
 /// Cached transitions are only meaningful for the exact compiler that
@@ -196,7 +196,7 @@ pub struct LoadReport {
 /// Outcome of a [`CorpusCache::save`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaveReport {
-    /// Shard files written (always [`SHARDS`](super::SHARDS) on success).
+    /// Shard files written (always [`FINGERPRINT_SHARDS`](crate::FINGERPRINT_SHARDS) on success).
     pub shards_written: usize,
     /// Entries written across the three planes (edges, emissions,
     /// analyses; exemplars are storage, not entries, and are not counted).
@@ -491,20 +491,13 @@ impl CorpusCache {
                 // An analysis under a personality this process cannot
                 // recompute is a newer (or differently configured) writer's
                 // entry — forward compatibility, same as unknown backends.
-                if !self.known_personality(personality) {
-                    skipped += 1;
-                    continue;
-                }
-                let Some(input_node) = nodes[shard][*input] else {
+                let (Some(label), Some(input_node)) =
+                    (self.personality_label(personality), nodes[shard][*input])
+                else {
                     skipped += 1;
                     continue;
                 };
-                if self.insert_warm_text(
-                    &self.analyses,
-                    personality.clone(),
-                    input_node,
-                    Arc::clone(text),
-                ) {
+                if self.insert_warm_text(&self.analyses, label, input_node, Arc::clone(text)) {
                     loaded += 1;
                 }
             }
@@ -567,7 +560,10 @@ impl CorpusCache {
         transitions.sort_unstable();
 
         let emissions = text_payload(&self.emissions, shard, index, |b| b.name().to_string());
-        let analyses = text_payload(&self.analyses, shard, index, String::clone);
+        let personalities = self.personalities.read().expect("corpus cache poisoned");
+        let analyses = text_payload(&self.analyses, shard, index, |&label| {
+            personalities[label].clone()
+        });
 
         ShardPayload {
             exemplars: persisted_exemplars,
@@ -1260,14 +1256,13 @@ mod tests {
         assert_eq!(report.entries_skipped, 4, "the four NVIDIA analyses");
 
         // Warm analysis hits serve from the memo: zero fresh walks.
-        let wid = warm.register_session();
         for seed in 0..4u32 {
             let state = warm.intern(snapshot(seed));
             let text = warm
-                .analysis(wid, "Arm", &state)
+                .analysis("Arm", &state)
                 .unwrap_or_else(|| panic!("analysis {seed} must warm-hit"));
             assert_eq!(*text, format!("{{\"arm\":{seed}}}"));
-            assert!(warm.analysis(wid, "NVIDIA", &state).is_none());
+            assert!(warm.analysis("NVIDIA", &state).is_none());
         }
         let stats = warm.stats();
         assert_eq!(stats.analysis_memo_hits, 4);

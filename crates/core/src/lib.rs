@@ -8,12 +8,13 @@
 //! driver.
 //!
 //! * [`flags`] — the 8 optimization flags and their 256 combinations.
-//! * [`lower`] — GLSL AST → IR lowering (matrix scalarisation, inlining).
+//! * [`lower`](mod@lower) — GLSL AST → IR lowering (matrix scalarisation, inlining).
 //! * [`passes`] — the optimization passes themselves.
 //! * [`pipeline`] — the staged pass schedule and single-shot compilation.
 //! * [`session`] — lower-once, prefix-shared variant compilation sessions
 //!   with per-backend (desktop GLSL / mobile GLES) emission memos, and the
-//!   one replay walk ([`replay_schedule`]) the compile service shares.
+//!   one replay walk ([`replay_schedule`]) and one specialized-base
+//!   derivation ([`specialize_base`]) the compile service shares.
 //! * [`cache`] — the memo store: one thread-safe transition-graph cache,
 //!   private to a standalone session or shared by a whole study sweep or
 //!   compile service, optionally bounded with LRU eviction and per-family
@@ -38,7 +39,9 @@ pub use lower::{lower, LowerError};
 pub use pipeline::{
     build_pipeline, build_schedule, compile, compile_ir, CompileError, CompiledShader, Stage,
 };
-pub use session::{emit_memoised, lower_base, replay_schedule, CompileSession, SessionStats};
+pub use session::{
+    emit_memoised, lower_base, replay_schedule, specialize_base, CompileSession, SessionStats,
+};
 pub use specialize::{
     candidate_keys, spec_counters, specialize_shader, verify_specialization, GuardedDispatch,
     SpecAssumption, SpecCounters, SpecDivergence, SpecError, SpecKey, SpecValue, SpecVerification,

@@ -29,7 +29,8 @@ pub enum CompileError {
     /// A pass produced structurally invalid IR (an internal bug).
     Verify(VerifyError),
     /// The requested uniform-value specialization does not apply to this
-    /// shader (unknown slot, unsupported uniform type).
+    /// shader (unknown slot, unsupported uniform type), or its fold diverges
+    /// from the general program.
     Specialize(crate::specialize::SpecError),
 }
 
@@ -45,6 +46,18 @@ impl fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
+
+impl CompileError {
+    /// `true` when a specialization key does not apply to the shader (unknown
+    /// slot, unsupported type): a rejection to skip, unlike a divergent fold.
+    pub fn is_inapplicable_spec(&self) -> bool {
+        use crate::specialize::SpecError::{UnknownSlot, UnsupportedType};
+        matches!(
+            self,
+            CompileError::Specialize(UnknownSlot(_) | UnsupportedType(_))
+        )
+    }
+}
 
 impl From<GlslError> for CompileError {
     fn from(e: GlslError) -> Self {

@@ -29,10 +29,10 @@
 //! Both memos live behind a [`CacheStore`]: a standalone session owns a
 //! private [`CorpusCache`], while the study sweep hands every session one
 //! shared [`CorpusCache`] so übershader families share work *across* shaders
-//! too. The walk itself is [`replay_schedule`] plus [`emit_memoised`], and
-//! the base it starts from comes from [`lower_base`]; the compile service
-//! calls the same three functions against its own shared cache, so a
-//! session and the service answer each other's requests.
+//! too. The walk itself is [`replay_schedule`] plus [`emit_memoised`], from
+//! the base [`lower_base`] builds or the checked fold [`specialize_base`]
+//! derives from it; the compile service calls the same four functions
+//! against its own shared cache, so the two answer each other's requests.
 //!
 //! Fingerprint matches are only candidates: the store confirms every cache
 //! hit with full structural equality before reusing a snapshot, so a hash
@@ -43,11 +43,11 @@ use crate::cache::{CacheStore, CorpusCache, SessionId, Snapshot, MASK_STAGES};
 use crate::flags::OptFlags;
 use crate::lower::lower;
 use crate::pipeline::{build_schedule, CompileError, CompiledShader, Stage};
-use crate::specialize::{specialize_shader, GuardedDispatch, SpecKey};
+use crate::specialize::{check_fold, specialize_shader, GuardedDispatch, SpecKey};
 use crate::variant::{Variant, VariantSet};
 use prism_emit::BackendKind;
 use prism_glsl::ShaderSource;
-use prism_ir::fingerprint::fingerprint;
+use prism_ir::fingerprint::{fingerprint, Fingerprint};
 use prism_ir::verify::verify;
 use prism_ir::Shader;
 use std::cell::RefCell;
@@ -110,6 +110,40 @@ pub fn lower_base<S: CacheStore + ?Sized>(
         fp: fingerprint(&ir),
         ir: Arc::new(ir),
     }))
+}
+
+/// The snapshot a `(flags, key)` walk starts from: `base` for the general
+/// key, else `base` with `key`'s constants substituted and folded
+/// ([`specialize_shader`]), verified, checked bit for bit against `base`
+/// through the interpreter, interned, and memoised in `cache` on `base`'s
+/// exemplar — so sessions and the compile service over one cache derive it
+/// once.
+///
+/// # Errors
+///
+/// [`CompileError::Specialize`] when the key does not apply or the fold
+/// diverges from `base`; [`CompileError::Verify`] if the fold breaks IR
+/// invariants (an internal bug).
+pub fn specialize_base<S: CacheStore + ?Sized>(
+    cache: &S,
+    base: &Snapshot,
+    key: &SpecKey,
+) -> Result<Snapshot, CompileError> {
+    if key.is_general() {
+        return Ok(base.clone());
+    }
+    if let Some(specialized) = cache.specialization(base, key) {
+        return Ok(specialized);
+    }
+    let ir = specialize_shader(&base.ir, key).map_err(CompileError::Specialize)?;
+    verify(&ir).map_err(CompileError::Verify)?;
+    check_fold(&base.ir, &ir, key).map_err(CompileError::Specialize)?;
+    let specialized = cache.intern(Snapshot {
+        fp: fingerprint(&ir),
+        ir: Arc::new(ir),
+    });
+    cache.record_specialization(base, key, &specialized);
+    Ok(specialized)
 }
 
 /// Runs the stages of `schedule` that `flags` enables, from `start`, against
@@ -257,12 +291,6 @@ pub struct CompileSession {
     /// cross-shader hits).
     id: SessionId,
     stats: RefCell<SessionStats>,
-    /// Specialized-base memo: the substituted-and-folded IR each [`SpecKey`]
-    /// starts its flag walk from, derived once per key. The snapshots are
-    /// interned into the store's exemplar plane like any other, so two keys
-    /// whose folds collapse to the same structure share one allocation —
-    /// and every downstream transition/emission dedups by fingerprint.
-    spec_bases: RefCell<HashMap<SpecKey, Snapshot>>,
 }
 
 impl CompileSession {
@@ -328,7 +356,6 @@ impl CompileSession {
             cache,
             id,
             stats: RefCell::new(SessionStats::default()),
-            spec_bases: RefCell::new(HashMap::new()),
         })
     }
 
@@ -376,16 +403,7 @@ impl CompileSession {
         flags: OptFlags,
         backend: BackendKind,
     ) -> Result<CompiledShader, CompileError> {
-        let state = self.optimize(flags)?;
-        let text = self.emit(&state, backend);
-        Ok(CompiledShader {
-            name: self.name.clone(),
-            flags,
-            ir: self.restamped(&state),
-            // The memo's shared handle, not a copy — response bodies are
-            // refcount bumps all the way out.
-            glsl: text,
-        })
+        self.compile_spec(flags, &SpecKey::general(), backend)
     }
 
     /// The emitted text of one flag combination for one backend, memoised on
@@ -401,8 +419,7 @@ impl CompileSession {
         flags: OptFlags,
         backend: BackendKind,
     ) -> Result<Arc<str>, CompileError> {
-        let state = self.optimize(flags)?;
-        Ok(self.emit(&state, backend))
+        self.text_for_spec(flags, &SpecKey::general(), backend)
     }
 
     /// The `backend` emission of the *unoptimized* base lowering — the
@@ -422,11 +439,8 @@ impl CompileSession {
     /// # Errors
     ///
     /// Returns [`CompileError::Verify`] if a pass breaks IR invariants.
-    pub fn optimized_fingerprint(
-        &self,
-        flags: OptFlags,
-    ) -> Result<prism_ir::fingerprint::Fingerprint, CompileError> {
-        Ok(self.optimize(flags)?.fp)
+    pub fn optimized_fingerprint(&self, flags: OptFlags) -> Result<Fingerprint, CompileError> {
+        self.specialized_fingerprint(flags, &SpecKey::general())
     }
 
     /// Compiles all 256 flag combinations and deduplicates them by generated
@@ -449,8 +463,9 @@ impl CompileSession {
 
         // Walk combinations in mask order; OptFlags::NONE comes first, so the
         // baseline is always variant 0, matching the historical contract.
+        let general = SpecKey::general();
         for flags in OptFlags::all_combinations() {
-            let state = self.optimize(flags)?;
+            let state = self.walk(flags, &general)?;
             let glsl = self.emit(&state, BackendKind::DesktopGlsl);
             let index = match by_text.get(&glsl) {
                 Some(i) => {
@@ -479,43 +494,15 @@ impl CompileSession {
         })
     }
 
-    /// The snapshot every variant of `spec` starts from: the base IR for the
-    /// general key, else the substituted-and-folded specialized base —
-    /// derived once per key, verified, fingerprinted and interned into the
-    /// store's exemplar plane so it dedups like any other structure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Specialize`] when the key does not apply to
-    /// this shader, [`CompileError::Verify`] if the fold breaks IR
-    /// invariants (an internal bug).
-    pub fn specialized_base(&self, spec: &SpecKey) -> Result<Snapshot, CompileError> {
-        if spec.is_general() {
-            return Ok(self.base.clone());
-        }
-        if let Some(snap) = self.spec_bases.borrow().get(spec) {
-            return Ok(snap.clone());
-        }
-        let ir = specialize_shader(&self.base.ir, spec).map_err(CompileError::Specialize)?;
-        verify(&ir).map_err(CompileError::Verify)?;
-        let snap = self.cache.intern(Snapshot {
-            fp: fingerprint(&ir),
-            ir: Arc::new(ir),
-        });
-        self.spec_bases
-            .borrow_mut()
-            .insert(spec.clone(), snap.clone());
-        Ok(snap)
-    }
-
     /// Compiles one `(flags, spec)` variant pair into a [`GuardedDispatch`]:
     /// the general program of `flags`, the specialized program of the same
     /// flags under `spec`, and the runtime guard between them.
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Specialize`] when the key does not apply,
-    /// [`CompileError::Verify`] if a pass breaks IR invariants.
+    /// Returns [`CompileError::Specialize`] when the key does not apply or
+    /// its fold diverges from the general program, [`CompileError::Verify`]
+    /// if a pass breaks IR invariants.
     pub fn dispatch_for(
         &self,
         flags: OptFlags,
@@ -530,71 +517,69 @@ impl CompileSession {
     }
 
     /// Compiles one `(flags, spec)` combination and emits it through
-    /// `backend` — the specialized analogue of [`CompileSession::compile_for`].
-    /// The general key reduces to exactly `compile_for`.
+    /// `backend`. The walk starts from [`specialize_base`]'s checked fold of
+    /// the base IR; the general key starts from the base itself and is
+    /// exactly [`CompileSession::compile_for`].
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Specialize`] when the key does not apply,
-    /// [`CompileError::Verify`] if a pass breaks IR invariants.
+    /// Returns [`CompileError::Specialize`] when the key does not apply or
+    /// its fold diverges from the general program, [`CompileError::Verify`]
+    /// if a pass breaks IR invariants.
     pub fn compile_spec(
         &self,
         flags: OptFlags,
         spec: &SpecKey,
         backend: BackendKind,
     ) -> Result<CompiledShader, CompileError> {
-        let state = self.optimize_from(self.specialized_base(spec)?, flags)?;
+        let state = self.walk(flags, spec)?;
         let text = self.emit(&state, backend);
         Ok(CompiledShader {
             name: self.name.clone(),
             flags,
             ir: self.restamped(&state),
+            // The memo's shared handle, not a copy — response bodies are
+            // refcount bumps all the way out.
             glsl: text,
         })
     }
 
-    /// The emitted text of one `(flags, spec)` combination for one backend —
-    /// the specialized analogue of [`CompileSession::text_for`].
+    /// The emitted text of one `(flags, spec)` combination for one backend;
+    /// the general key is [`CompileSession::text_for`].
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Specialize`] when the key does not apply,
-    /// [`CompileError::Verify`] if a pass breaks IR invariants.
+    /// As [`CompileSession::compile_spec`].
     pub fn text_for_spec(
         &self,
         flags: OptFlags,
         spec: &SpecKey,
         backend: BackendKind,
     ) -> Result<Arc<str>, CompileError> {
-        let state = self.optimize_from(self.specialized_base(spec)?, flags)?;
+        let state = self.walk(flags, spec)?;
         Ok(self.emit(&state, backend))
     }
 
     /// The structural fingerprint of the optimized IR `(flags, spec)`
-    /// produces — the emission-memo key of the specialized variant.
+    /// produces — the emission-memo key of the variant; the general key is
+    /// [`CompileSession::optimized_fingerprint`].
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Specialize`] when the key does not apply,
-    /// [`CompileError::Verify`] if a pass breaks IR invariants.
+    /// As [`CompileSession::compile_spec`].
     pub fn specialized_fingerprint(
         &self,
         flags: OptFlags,
         spec: &SpecKey,
-    ) -> Result<prism_ir::fingerprint::Fingerprint, CompileError> {
-        Ok(self.optimize_from(self.specialized_base(spec)?, flags)?.fp)
+    ) -> Result<Fingerprint, CompileError> {
+        Ok(self.walk(flags, spec)?.fp)
     }
 
-    /// Runs the enabled stages for `flags` over the base IR (sharing cached
-    /// snapshots) and returns the final state.
-    fn optimize(&self, flags: OptFlags) -> Result<Snapshot, CompileError> {
-        self.optimize_from(self.base.clone(), flags)
-    }
-
-    /// Runs the enabled stages for `flags` from an arbitrary starting
-    /// snapshot — the base IR, or a specialized base (see
-    /// [`replay_schedule`]).
-    fn optimize_from(&self, start: Snapshot, flags: OptFlags) -> Result<Snapshot, CompileError> {
+    /// Runs the enabled stages for `flags` from the base `spec` starts from
+    /// (see [`specialize_base`] and [`replay_schedule`]) and returns the
+    /// final state.
+    fn walk(&self, flags: OptFlags, spec: &SpecKey) -> Result<Snapshot, CompileError> {
+        let start = specialize_base(&*self.cache, &self.base, spec)?;
         replay_schedule(
             &*self.cache,
             self.id,

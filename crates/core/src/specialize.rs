@@ -277,6 +277,9 @@ pub enum SpecError {
     /// The assumed slot is not a float scalar/vector (or scalar int) — the
     /// only shapes the substitution knows how to materialise as a constant.
     UnsupportedType(usize),
+    /// The folded base disagrees with the general base (or either faults)
+    /// on an assumption-holding context: a miscompile, never handed out.
+    Divergent(String),
 }
 
 impl fmt::Display for SpecError {
@@ -289,6 +292,7 @@ impl fmt::Display for SpecError {
                 f,
                 "specialization on uniform slot {s} with an unsupported type"
             ),
+            SpecError::Divergent(message) => write!(f, "{message}"),
         }
     }
 }
@@ -349,6 +353,26 @@ pub fn specialize_shader(base: &Shader, key: &SpecKey) -> Result<Shader, SpecErr
     }
     SPECIALIZATIONS_GENERATED.fetch_add(1, Ordering::Relaxed);
     Ok(ir)
+}
+
+/// Interprets `fold` and the `general` base it came from on `key`'s
+/// holding context at every [`default_probe_points`] coordinate: folding an
+/// equal constant is exact arithmetic, so a fault or any output bit that
+/// differs is a [`SpecError::Divergent`] miscompile.
+pub(crate) fn check_fold(general: &Shader, fold: &Shader, key: &SpecKey) -> Result<(), SpecError> {
+    for (fx, fy) in default_probe_points() {
+        let ctx = key.holding_context(general, fx, fy);
+        let fast = run_fragment(fold, &ctx)
+            .map_err(|e| SpecError::Divergent(format!("specialized base faulted: {e}")))?;
+        let slow = run_fragment(general, &ctx)
+            .map_err(|e| SpecError::Divergent(format!("general base faulted: {e}")))?;
+        if !results_exactly_equal(&fast, &slow) {
+            return Err(SpecError::Divergent(format!(
+                "fold diverges from the general program under [{key}] at ({fx},{fy})"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The canonicalisation stage the specializer folds with: constant folding
@@ -716,6 +740,7 @@ pub fn candidate_keys(shader: &Shader, limit: usize) -> Vec<SpecKey> {
 mod tests {
     use super::*;
     use crate::flags::OptFlags;
+    use crate::pipeline::CompileError;
     use crate::session::CompileSession;
     use prism_emit::BackendKind;
     use prism_glsl::ShaderSource;
@@ -792,6 +817,44 @@ mod tests {
         // `texture(tex, uv) * 1.0` loses the multiply but keeps the sample.
         assert_eq!(specialized.texture_op_count(), 2);
         assert!(specialized.size() < s.base_ir().size());
+    }
+
+    #[test]
+    fn the_fold_check_rejects_a_fold_with_one_constant_changed() {
+        let src = ShaderSource::parse(
+            "uniform float k; in vec2 uv; out vec4 c;\n\
+             void main() { c = vec4(uv * k + 0.5, 0.25, 1.0); }",
+        )
+        .unwrap();
+        let s = CompileSession::new(&src, "scaled").unwrap();
+        let spec = SpecKey::single(slot_of(s.base_ir(), "k"), SpecValue::One);
+        let folded = specialize_shader(s.base_ir(), &spec).unwrap();
+        assert_eq!(check_fold(s.base_ir(), &folded, &spec), Ok(()));
+
+        // The same fold with its first float constant nudged.
+        let mut wrong = folded.clone();
+        let mut nudged = false;
+        rewrite_operands(&mut wrong.body, &mut |operand| match operand {
+            Operand::Const(Constant::Float(v)) if !nudged => {
+                *v += 1.0;
+                nudged = true;
+            }
+            Operand::Const(Constant::FloatVec(vs)) if !nudged => {
+                vs[0] += 1.0;
+                nudged = true;
+            }
+            _ => {}
+        });
+        assert!(nudged, "the fold keeps a float constant");
+        match check_fold(s.base_ir(), &wrong, &spec) {
+            Err(SpecError::Divergent(message)) => {
+                assert!(message.contains("fold diverges"), "{message}");
+            }
+            other => panic!("a wrong fold must diverge, got {other:?}"),
+        }
+        let divergent = CompileError::Specialize(SpecError::Divergent(String::new()));
+        assert!(!divergent.is_inapplicable_spec());
+        assert!(CompileError::Specialize(SpecError::UnknownSlot(0)).is_inapplicable_spec());
     }
 
     #[test]

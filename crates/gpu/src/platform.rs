@@ -60,7 +60,8 @@ impl Platform {
         }
     }
 
-    /// All five platforms of the study.
+    /// All seven platforms of the study, in [`Vendor::ALL`] order: the
+    /// paper's five, then the SPIR-V and MSL consumers.
     pub fn all() -> Vec<Platform> {
         Vendor::ALL.iter().map(|v| Platform::new(*v)).collect()
     }

@@ -12,7 +12,7 @@
 //! consecutive indices, so the facts live in a `Vec` indexed by [`Reg`]
 //! rather than a map. The passes keep their own per-register state (the
 //! constant-folding environment, the renaming maps, `DefMap`) the same way,
-//! through [`reg_slot`](crate::value::reg_slot).
+//! through [`reg_slot`].
 
 use crate::shader::Shader;
 use crate::stmt::Stmt;

@@ -32,7 +32,7 @@
 //! measures variants as it searches, no exhaustive record required. The
 //! explore/exploit bandit strategies ([`EpsilonGreedy`](crate::bandit::EpsilonGreedy),
 //! [`Ucb1`](crate::bandit::Ucb1)) live in [`crate::bandit`] alongside the
-//! [`RegretTracker`](crate::bandit::RegretTracker) that scores every
+//! [`RegretTracker`] that scores every
 //! strategy's evaluation log against the oracle.
 //! [`incremental_search_records`] aggregates the comparison per (platform,
 //! strategy) into [`SearchRecord`] rows — regret-vs-measurements curves

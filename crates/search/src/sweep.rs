@@ -13,7 +13,7 @@
 //! phone gets MSL — four source forms derived from the same optimized IR.
 //!
 //! All sessions memoise against one shared, thread-safe
-//! [`CorpusCache`](prism_core::CorpusCache): übershader family members share
+//! [`CorpusCache`]: übershader family members share
 //! most of their IR, so one family member's stage transitions and emitted
 //! text routinely answer another's lookups. The corpus-level counters land in
 //! [`StudyResults::cache`].
@@ -441,9 +441,10 @@ fn specialization_arms(
             let backend = platform.backend();
             let dispatch = match session.dispatch_for(flags, &key, backend) {
                 Ok(dispatch) => dispatch,
-                // The key does not apply to this shader (wrong type, fold
-                // rejected); nothing to measure.
-                Err(_) => continue,
+                // The key does not apply to this shader (unknown slot,
+                // unsupported type); nothing to measure.
+                Err(e) if e.is_inapplicable_spec() => continue,
+                Err(e) => panic!("specialization miscompile: {e}"),
             };
             if !dispatch.is_effective() {
                 continue;

@@ -78,7 +78,11 @@ mod tests {
     use prism_core::{CacheStore, OptFlags};
     use prism_emit::BackendKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Barrier};
+    use std::sync::{Arc, Barrier, Mutex};
+
+    /// Serialises the tests that assert on the process-global
+    /// specialization counters against every test that specializes.
+    pub(crate) static SPEC_COUNTERS: Mutex<()> = Mutex::new(());
 
     const SOURCE: &str = "uniform float u_gain;\nuniform vec4 u_tint;\nin vec2 v_uv;\nout vec4 frag;\nvoid main() {\n    vec2 scaled = v_uv * u_gain;\n    vec4 base = vec4(scaled, 0.5, 1.0);\n    frag = base * u_tint;\n}\n";
 
@@ -438,12 +442,13 @@ mod tests {
     }
 
     /// A specialized request rides the whole lifecycle: substituted and
-    /// folded once per `(fingerprint, spec)`, interp-verified against the
+    /// folded once per `(base, spec)`, checked bit for bit against the
     /// general base, then memo-served (zero-copy) on replay like any other
     /// variant.
     #[test]
     fn specialized_requests_fold_verify_and_memoise() {
         use prism_core::{spec_counters, SpecKey, SpecValue};
+        let _serial = SPEC_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let service = CompileService::new(ServeConfig::default());
         let general = service
             .compile(&request(OptFlags::all(), BackendKind::DesktopGlsl))
@@ -463,7 +468,7 @@ mod tests {
         assert_eq!(
             spec_counters().since(&before).specializations_generated,
             1,
-            "one derivation for the new (fingerprint, spec) pair"
+            "one derivation for the new (base, spec) pair"
         );
 
         // Replay: the specialized base comes from the memo (no re-derivation)
@@ -477,6 +482,54 @@ mod tests {
             1,
             "the replay must not re-specialize"
         );
+    }
+
+    /// A session over the service's cache and the service derive a
+    /// specialized base once between them, whichever asks first, and hand
+    /// out the same bytes under the same fingerprint.
+    #[test]
+    fn sessions_and_the_service_share_one_specialized_base() {
+        use prism_core::{spec_counters, CompileSession, SpecKey, SpecValue};
+        let _serial = SPEC_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let source = prism_glsl::ShaderSource::parse(SOURCE).unwrap();
+        let spec = SpecKey::single(1, SpecValue::Zero);
+        let flags = OptFlags::all();
+        let backend = BackendKind::DesktopGlsl;
+        let request = CompileRequest::builder(SOURCE)
+            .flags(flags)
+            .backend(backend)
+            .specialize(spec.clone())
+            .build();
+        for service_first in [true, false] {
+            let service = CompileService::new(ServeConfig::default());
+            let session = CompileSession::with_cache(
+                &source,
+                &service::source_name(SOURCE),
+                service.cache().clone() as Arc<dyn CacheStore>,
+            )
+            .unwrap();
+            let before = spec_counters();
+            let (served, text) = if service_first {
+                let served = service.compile(&request).unwrap();
+                (
+                    served,
+                    session.text_for_spec(flags, &spec, backend).unwrap(),
+                )
+            } else {
+                let text = session.text_for_spec(flags, &spec, backend).unwrap();
+                (service.compile(&request).unwrap(), text)
+            };
+            assert_eq!(
+                spec_counters().since(&before).specializations_generated,
+                1,
+                "service first: {service_first}"
+            );
+            assert_eq!(*text, *served.text, "service first: {service_first}");
+            assert_eq!(
+                session.specialized_fingerprint(flags, &spec).unwrap(),
+                served.fingerprint
+            );
+        }
     }
 
     /// An inapplicable specialization key is a request error, not a panic —

@@ -5,10 +5,10 @@
 //!
 //! 1. **route** — the source text goes through a shared *lower-once front
 //!    stage* (parse + lower + verify, memoised per source text), and the
-//!    base IR's [`fingerprint`] picks the owning shard with the cache's own
-//!    16-way split ([`prism_core::shard_of`]) — the same split the warm-start
-//!    snapshot files use, so shard ownership survives restarts without
-//!    re-keying;
+//!    base IR's structural fingerprint picks the owning shard with the
+//!    cache's own 16-way split ([`prism_core::shard_of`]) — the same split
+//!    the warm-start snapshot files use, so shard ownership survives
+//!    restarts without re-keying;
 //! 2. **coalesce** — a singleflight table keyed `(fingerprint, flags,
 //!    backend)` merges identical in-flight requests: one leader compiles,
 //!    every waiter blocks on the same flight and receives the same `Arc`'d
@@ -29,18 +29,15 @@
 //! congruent to its index.
 
 use prism_core::cache::SessionId;
-use prism_core::specialize::default_probe_points;
 use prism_core::{
-    build_schedule, emit_memoised, lower_base, replay_schedule, shard_of, specialize_shader,
-    CacheStats, CacheStore, CorpusCache, OptFlags, SessionStats, Snapshot, SpecKey, Stage,
-    FINGERPRINT_SHARDS,
+    build_schedule, emit_memoised, lower_base, replay_schedule, shard_of, specialize_base,
+    CacheStats, CacheStore, CompileError, CorpusCache, OptFlags, SessionStats, Snapshot, SpecKey,
+    Stage, FINGERPRINT_SHARDS,
 };
 use prism_emit::{BackendChain, BackendKind};
 use prism_glsl::ShaderInterface;
 use prism_gpu::Vendor;
-use prism_ir::fingerprint::{fingerprint, Fingerprint};
-use prism_ir::interp::{results_exactly_equal, run_fragment};
-use prism_ir::verify::verify;
+use prism_ir::fingerprint::Fingerprint;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -158,11 +155,12 @@ pub struct CompileRequest {
     pub analyze: Option<Vendor>,
     /// Uniform-value assumptions to compile under (the `(flags, spec)`
     /// variant axis). The general key — the default — is the ordinary
-    /// unspecialized compile; a non-general key substitutes the assumed
-    /// constants into the base IR, folds, interp-verifies the fold against
-    /// the general base, and runs the flag schedule from the specialized
-    /// base. The response's `text` is then only valid while the assumptions
-    /// hold — callers pair it with a general compile behind a guard.
+    /// unspecialized compile; a non-general key runs the flag schedule from
+    /// [`prism_core::specialize_base`]'s checked fold of the base IR, the
+    /// same derivation (and the same memo in the shared cache) a
+    /// `CompileSession` uses. The response's `text` is then only valid while
+    /// the assumptions hold — callers pair it with a general compile behind
+    /// a guard.
     pub specialize: SpecKey,
 }
 
@@ -267,8 +265,8 @@ pub enum ServeError {
     /// A pass broke IR invariants mid-compile (internal bug).
     Compile(String),
     /// The request's specialization key does not apply to the source (bad
-    /// slot / unsupported type), or the specialized fold failed its
-    /// differential interp verification against the general base.
+    /// slot / unsupported type), or the specialized fold diverged from the
+    /// general base ([`prism_core::SpecError`]).
     Specialize(String),
     /// The compile panicked twice (once plus one retry); waiters receive
     /// this error rather than hanging.
@@ -497,11 +495,6 @@ struct Inner {
     session: SessionId,
     chain: BackendChain,
     front: RwLock<HashMap<String, Result<Arc<FrontEntry>, ServeError>>>,
-    /// Specialized-base memo: the substituted-folded-verified snapshot each
-    /// `(base fingerprint, spec key)` pair starts its flag walk from —
-    /// derived (and interp-verified against the general base) once, then a
-    /// refcount bump for every later request.
-    spec_bases: RwLock<HashMap<(Fingerprint, SpecKey), Snapshot>>,
     flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
     queues: Vec<Mutex<VecDeque<Job>>>,
     signals: Vec<WorkerSignal>,
@@ -547,7 +540,6 @@ impl CompileService {
             session,
             chain: BackendChain::standard(),
             front: RwLock::new(HashMap::new()),
-            spec_bases: RwLock::new(HashMap::new()),
             flights: Mutex::new(HashMap::new()),
             queues: (0..FINGERPRINT_SHARDS)
                 .map(|_| Mutex::new(VecDeque::new()))
@@ -932,11 +924,15 @@ impl Inner {
             });
         }
         // A specialized request runs the ordinary flag schedule, just from a
-        // different starting snapshot: the substituted-and-folded base. That
-        // base is another IR structure, so everything downstream (transition
-        // memo, emission memo, analysis memo) dedups by fingerprint with no
-        // special cases.
-        let base = self.spec_base(job)?;
+        // different starting snapshot: the checked, substituted-and-folded
+        // base, memoised in the cache. That base is another IR structure, so
+        // everything downstream (transition memo, emission memo, analysis
+        // memo) dedups by fingerprint with no special cases.
+        let base =
+            specialize_base(&*self.cache, &job.base, &job.key.spec).map_err(|e| match e {
+                CompileError::Specialize(e) => ServeError::Specialize(e.to_string()),
+                e => ServeError::Compile(e.to_string()),
+            })?;
         let mut work = SessionStats::default();
         let state = with_schedule(|schedule| {
             replay_schedule(
@@ -969,7 +965,7 @@ impl Inner {
             None => None,
             Some(vendor) => {
                 let personality = vendor.name();
-                match self.cache.analysis(self.session, personality, &state) {
+                match self.cache.analysis(personality, &state) {
                     Some(json) => Some(json),
                     None => {
                         let report = prism_analyze::analyze(&state.ir, vendor);
@@ -996,59 +992,6 @@ impl Inner {
             zero_copy,
             analysis,
         })
-    }
-
-    /// The snapshot a job's flag walk starts from: the front-stage base for
-    /// a general request, else the memoised specialized base for this
-    /// `(fingerprint, spec)` pair.
-    ///
-    /// On a memo miss the derivation substitutes the assumed constants,
-    /// folds, checks IR invariants, and then differentially executes the
-    /// specialized base against the general base through the interpreter on
-    /// assumption-holding contexts at the standard probe points — the fold
-    /// must be bit-for-bit exact or the request fails rather than serve a
-    /// miscompile. The verified snapshot is interned into the cache's
-    /// exemplar plane so it dedups like any other structure.
-    fn spec_base(&self, job: &Job) -> Result<Snapshot, ServeError> {
-        let spec = &job.key.spec;
-        if spec.is_general() {
-            return Ok(job.base.clone());
-        }
-        let memo_key = (job.base.fp, spec.clone());
-        if let Some(snap) = self
-            .spec_bases
-            .read()
-            .expect("spec-base memo poisoned")
-            .get(&memo_key)
-        {
-            return Ok(snap.clone());
-        }
-        let ir = specialize_shader(&job.base.ir, spec)
-            .map_err(|e| ServeError::Specialize(e.to_string()))?;
-        verify(&ir).map_err(|e| ServeError::Compile(e.to_string()))?;
-        for (fx, fy) in default_probe_points() {
-            let ctx = spec.holding_context(&job.base.ir, fx, fy);
-            let fast = run_fragment(&ir, &ctx)
-                .map_err(|e| ServeError::Specialize(format!("specialized base faulted: {e}")))?;
-            let slow = run_fragment(&job.base.ir, &ctx)
-                .map_err(|e| ServeError::Specialize(format!("general base faulted: {e}")))?;
-            if !results_exactly_equal(&fast, &slow) {
-                return Err(ServeError::Specialize(format!(
-                    "fold diverges from the general program under [{spec}] at ({fx},{fy})"
-                )));
-            }
-        }
-        let snap = self.cache.intern(Snapshot {
-            fp: fingerprint(&ir),
-            ir: Arc::new(ir),
-        });
-        // A racing duplicate derivation of the same pair is wasted but
-        // deterministic work; last write wins with an identical snapshot.
-        self.spec_bases
-            .write()
-            .expect("spec-base memo poisoned")
-            .insert(memo_key, snap.clone());
-        Ok(snap)
     }
 
     fn unregister_flight(&self, key: &FlightKey, flight: &Arc<Flight>) {

@@ -12,7 +12,7 @@
 //!   versa: variants the tuner paid for are served zero-copy afterwards;
 //! * concurrent tuners and servers asking for the same `(fingerprint,
 //!   flags, backend)` coalesce onto one compile;
-//! * the tuner's compiles warm the shared [`CorpusCache`] for the whole
+//! * the tuner's compiles warm the shared [`CorpusCache`](prism_core::CorpusCache) for the whole
 //!   übershader family.
 //!
 //! Measurement goes through [`prism_search::LiveEvaluator`]: the emitted
@@ -501,6 +501,9 @@ mod tests {
     #[test]
     fn spec_candidate_arms_ride_the_tune_and_deploy_a_guarded_winner() {
         use prism_core::SpecValue;
+        let _serial = crate::tests::SPEC_COUNTERS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         // `ambient` is the shader's only non-sampler uniform: slot 0.
         let zero_ambient = SpecKey::single(0, SpecValue::Zero);
         let spec = TuneSpec::new(Vendor::Amd)

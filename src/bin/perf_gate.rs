@@ -210,7 +210,8 @@ fn measure_specialize(corpus: &Corpus) -> Vec<Counter> {
                     prism::emit::BackendKind::DesktopGlsl,
                 ) {
                     Ok(dispatch) => dispatch,
-                    Err(_) => continue,
+                    Err(e) if e.is_inapplicable_spec() => continue,
+                    Err(e) => panic!("specialization miscompile in the gate sweep: {e}"),
                 };
                 verify_specialization(&dispatch, &probes).unwrap_or_else(|d| {
                     panic!("specialization miscompile in the gate sweep: {}", d.message)

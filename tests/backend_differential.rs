@@ -243,7 +243,8 @@ fn specialized_variants_verify_differentially_and_emit_through_all_backends() {
             for key in candidate_keys(session.base_ir(), 4) {
                 let dispatch = match session.dispatch_for(flags, &key, BackendKind::DesktopGlsl) {
                     Ok(dispatch) => dispatch,
-                    Err(_) => continue,
+                    Err(e) if e.is_inapplicable_spec() => continue,
+                    Err(e) => panic!("{}: flags {flags}: specialization diverges: {e}", case.name),
                 };
                 verify_specialization(&dispatch, &probes).unwrap_or_else(|d| {
                     panic!(

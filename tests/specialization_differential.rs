@@ -69,7 +69,10 @@ fn every_corpus_specialization_is_interp_verified_in_both_guard_directions() {
                         Ok(dispatch) => dispatch,
                         // The key does not apply to this shader (type mismatch);
                         // that is a clean rejection, not a correctness question.
-                        Err(_) => continue,
+                        Err(e) if e.is_inapplicable_spec() => continue,
+                        Err(e) => {
+                            panic!("{}: flags {flags}: specialization diverges: {e}", case.name)
+                        }
                     };
                 dispatches += 1;
                 if dispatch.is_effective() {
@@ -124,7 +127,8 @@ fn specialized_compiles_agree_cold_vs_shared_cache() {
         for key in candidate_keys(cold.base_ir(), KEYS_PER_SHADER) {
             let fp_cold = match cold.specialized_fingerprint(flags, &key) {
                 Ok(fp) => fp,
-                Err(_) => continue,
+                Err(e) if e.is_inapplicable_spec() => continue,
+                Err(e) => panic!("{}: [{key}] specialization fails: {e}", case.name),
             };
             let fp_shared = shared.specialized_fingerprint(flags, &key).unwrap();
             assert_eq!(
